@@ -3,7 +3,8 @@
 // delays its slice messages — and an interior broadcast-tree node dies.
 //
 // On the non-DCR path node 0 ships slices over an O(log N) broadcast tree
-// (internal/xport). A seeded ChaosPlan perturbs every link: 15% of
+// (internal/wire's mesh, one per node on an in-process loopback hub). A
+// seeded ChaosPlan perturbs every link: 15% of
 // transmissions are dropped, 25% duplicated, 30% reordered, and the 0→2
 // link suffers a transient partition. A seeded FaultInjector additionally
 // kills node 1 — an interior relay with two children — mid-run, forcing
@@ -26,19 +27,19 @@ import (
 	"indexlaunch/internal/projection"
 	"indexlaunch/internal/region"
 	"indexlaunch/internal/rt"
-	"indexlaunch/internal/xport"
+	"indexlaunch/internal/wire"
 )
 
 func main() {
 	// Every chaos decision is a pure hash of (seed, link, sequence,
 	// attempt): re-running this program replays the same drops, the same
 	// duplicates, the same partition window.
-	plan := &xport.ChaosPlan{
+	plan := &wire.ChaosPlan{
 		Seed: 42, Drop: 0.15, Dup: 0.25, Reorder: 0.3,
 		DelayMax: 100 * time.Microsecond,
 		// Link 0→2 goes dark for transmissions 1..3 of its lifetime;
 		// retransmissions advance the counter, so the outage heals.
-		Partitions: []xport.Partition{{A: 0, B: 2, AfterSends: 1, Sends: 3}},
+		Partitions: []wire.Partition{{A: 0, B: 2, AfterSends: 1, Sends: 3}},
 	}
 
 	// Node 1 relays to children 3 and 4. Killing it after 20 issued points
@@ -50,7 +51,7 @@ func main() {
 		Chaos: plan,
 		// Short ack timeouts keep the demo snappy; dropped hops re-send
 		// after 200µs instead of the default 1ms.
-		Retransmit: xport.RetransmitPolicy{
+		Retransmit: wire.RetransmitPolicy{
 			Timeout:    200 * time.Microsecond,
 			MaxBackoff: 2 * time.Millisecond,
 		},

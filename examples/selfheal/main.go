@@ -27,25 +27,25 @@ import (
 	"indexlaunch/internal/projection"
 	"indexlaunch/internal/region"
 	"indexlaunch/internal/rt"
-	"indexlaunch/internal/xport"
+	"indexlaunch/internal/wire"
 )
 
 func main() {
-	// The 0↔1 link goes dark for its first 16 transmissions of probe
-	// traffic. Node 1 relays heartbeats for its subtree, so the detector
-	// sees a correlated silence — exactly what a real partition looks
-	// like. Every probe fate is a pure hash of (seed, link, seq, attempt):
-	// reruns produce a byte-identical transition log.
-	plan := &xport.ChaosPlan{
+	// The 0↔1 link goes dark for its first 16 heartbeat pings. Probes go
+	// straight from node 0 to each node, so only node 1 falls silent; its
+	// subtree keeps answering, and slices bound for it are re-parented
+	// around the suspect relay. Every probe fate is a pure hash of (seed,
+	// link, seq, attempt): reruns produce a byte-identical transition log.
+	plan := &wire.ChaosPlan{
 		Seed:       3,
-		Partitions: []xport.Partition{{A: 0, B: 1, AfterSends: 0, Sends: 16}},
+		Partitions: []wire.Partition{{A: 0, B: 1, AfterSends: 0, Sends: 16}},
 	}
 
 	runtime := rt.MustNew(rt.Config{
 		Nodes: 8, ProcsPerNode: 2, IndexLaunches: true,
 		Chaos: plan,
 		// Short ack timeouts keep the demo snappy.
-		Retransmit: xport.RetransmitPolicy{
+		Retransmit: wire.RetransmitPolicy{
 			Timeout:    200 * time.Microsecond,
 			MaxBackoff: 2 * time.Millisecond,
 		},

@@ -11,7 +11,7 @@ package metrics
 // Naming scheme: `idx_` for the runtime pipeline, `xport_` for the message
 // transport, `_total` suffix on counters, `_ns` on nanosecond histograms.
 // The aggregate `xport_*` counters here are the same families
-// internal/xport registers — registration is idempotent, so a transport
+// internal/wire's Mesh registers — registration is idempotent, so a mesh
 // sharing the runtime's registry shares the runtime's counters, which is
 // what lets rt.Stats read transport counts with no dual bookkeeping.
 type Pipeline struct {
@@ -74,8 +74,8 @@ type Pipeline struct {
 	FenceWait *Histogram
 	CheckEval *Histogram
 
-	// Message-transport aggregates (shared with internal/xport when the
-	// transport uses the same registry).
+	// Message-transport aggregates (shared with internal/wire's Mesh when
+	// the mesh uses the same registry).
 	Sends            *Counter
 	Retransmits      *Counter
 	Drops            *Counter
@@ -89,18 +89,18 @@ type Pipeline struct {
 // order — the same first five stages as the obs span taxonomy.
 var PipelineStages = []string{"issue", "logical", "distribute", "physical", "execute"}
 
-// Shared transport family names: internal/xport registers these same
-// families, so a transport given the runtime's registry shares the
-// runtime's counters (registration is idempotent) and rt.Stats reads
-// transport counts with no second bookkeeping path.
-// Shared health-probe family names: internal/xport counts probe round
-// trips on the same registry the runtime reads, like the transport
-// aggregates below.
+// Health-probe family names: the runtime's detector counts every probe
+// round trip here, in process and in cluster mode alike.
 const (
 	NameHealthProbes     = "health_probes_total"
 	NameHealthProbeFails = "health_probe_failures_total"
 )
 
+// Shared transport family names: internal/wire's Mesh (and its Chaos
+// decorator, for drops) registers these same families, so a mesh given the
+// runtime's registry shares the runtime's counters (registration is
+// idempotent) and rt.Stats reads transport counts with no second
+// bookkeeping path.
 const (
 	NameXportSends            = "xport_sends_total"
 	NameXportRetransmits      = "xport_retransmits_total"

@@ -12,7 +12,7 @@ import (
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/obs"
 	"indexlaunch/internal/region"
-	"indexlaunch/internal/xport"
+	"indexlaunch/internal/wire"
 )
 
 var errTransient = errors.New("transient")
@@ -36,7 +36,7 @@ func chaosSeeds(t *testing.T) []int64 {
 }
 
 // fastRetransmit keeps chaos tests quick: dropped hops re-send after 200µs.
-var fastRetransmit = xport.RetransmitPolicy{
+var fastRetransmit = wire.RetransmitPolicy{
 	Timeout:    200 * time.Microsecond,
 	MaxBackoff: 2 * time.Millisecond,
 }
@@ -45,7 +45,7 @@ var fastRetransmit = xport.RetransmitPolicy{
 // points over a 160-element line on an 8-node centralized runtime — under
 // the given chaos plan and fault injector, and returns the field sum plus
 // the runtime stats.
-func chaosRun(t *testing.T, plan *xport.ChaosPlan, fi *FaultInjector, prof *obs.Recorder) (float64, Stats) {
+func chaosRun(t *testing.T, plan *wire.ChaosPlan, fi *FaultInjector, prof *obs.Recorder) (float64, Stats) {
 	t.Helper()
 	r := MustNew(Config{
 		Nodes: 8, ProcsPerNode: 2, IndexLaunches: true,
@@ -77,10 +77,10 @@ func TestChaosPropertyResultsMatchFaultFree(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
-			plan := &xport.ChaosPlan{
+			plan := &wire.ChaosPlan{
 				Seed: seed, Drop: 0.15, Dup: 0.2, Reorder: 0.3,
 				DelayMax: 100 * time.Microsecond,
-				Partitions: []xport.Partition{
+				Partitions: []wire.Partition{
 					{A: 0, B: 2, AfterSends: 1, Sends: 3},
 				},
 			}
@@ -115,10 +115,10 @@ func TestChaosPropertyResultsMatchFaultFree(t *testing.T) {
 func TestChaosWithInteriorKillAcceptance(t *testing.T) {
 	refSum, refSt := chaosRun(t, nil, nil, nil)
 
-	plan := &xport.ChaosPlan{
+	plan := &wire.ChaosPlan{
 		Seed: 42, Drop: 0.15, Dup: 0.25, Reorder: 0.3,
 		DelayMax:   100 * time.Microsecond,
-		Partitions: []xport.Partition{{A: 0, B: 2, AfterSends: 1, Sends: 3}},
+		Partitions: []wire.Partition{{A: 0, B: 2, AfterSends: 1, Sends: 3}},
 	}
 	// Node 1 is an interior relay (children 3 and 4); killing it after 20
 	// issued points — mid-way through the second launch — forces the later
@@ -161,7 +161,7 @@ func TestChaosWithInteriorKillAcceptance(t *testing.T) {
 func TestChaosRequiresCentralizedPath(t *testing.T) {
 	_, err := New(Config{
 		Nodes: 2, ProcsPerNode: 1, DCR: true,
-		Chaos: &xport.ChaosPlan{Seed: 1, Drop: 0.5},
+		Chaos: &wire.ChaosPlan{Seed: 1, Drop: 0.5},
 	})
 	if err == nil || !strings.Contains(err.Error(), "DCR") {
 		t.Errorf("New accepted Chaos with DCR: err = %v", err)
@@ -169,10 +169,41 @@ func TestChaosRequiresCentralizedPath(t *testing.T) {
 	// Invalid plans are rejected at construction, not at first broadcast.
 	_, err = New(Config{
 		Nodes: 2, ProcsPerNode: 1,
-		Chaos: &xport.ChaosPlan{Drop: 1.0},
+		Chaos: &wire.ChaosPlan{Drop: 1.0},
 	})
 	if err == nil {
 		t.Error("New accepted a Drop=1 plan that can never deliver")
+	}
+}
+
+// A slice whose frame exceeds wire.MaxFrameSize fails its launch with
+// wire.ErrTooLarge instead of retransmitting forever: a large sparse
+// domain's point list ships in one frame.
+func TestOversizeSliceFailsLaunch(t *testing.T) {
+	r := MustNew(Config{Nodes: 2, ProcsPerNode: 1, IndexLaunches: true})
+	defer r.Shutdown()
+	noop := r.MustRegisterTask("noop", func(*Context) ([]byte, error) { return nil, nil })
+	// 400k points spaced 2^40 apart: node 1's half encodes at 7 bytes a
+	// point, about 1.4 MB.
+	pts := make([]domain.Point, 400_000)
+	for i := range pts {
+		pts[i] = domain.Pt1(int64(i) << 40)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.ExecuteIndex(&core.IndexLaunch{Task: noop, Tag: "sparse", Domain: domain.FromPoints(pts)})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, wire.ErrTooLarge) {
+			t.Fatalf("oversize launch returned %v, want wire.ErrTooLarge", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("oversize launch hung")
+	}
+	if st := r.Stats(); st.MsgSends != 0 || st.TasksExecuted != 0 {
+		t.Errorf("failed launch still sent %d frames, ran %d tasks", st.MsgSends, st.TasksExecuted)
 	}
 }
 

@@ -6,16 +6,14 @@ import (
 	"fmt"
 
 	"indexlaunch/internal/domain"
-	"indexlaunch/internal/obs"
 	"indexlaunch/internal/wire"
-	"indexlaunch/internal/xport"
 )
 
 // Cluster mode: the same runtime pipeline, with the transport's far side in
 // other OS processes. Config.Cluster hands the runtime a wire.Mesh whose
 // node 0 is this process (the launching side — idxserve) and whose other
-// nodes are idxnode worker daemons. Three things change, none of them
-// semantics:
+// nodes are idxnode worker daemons, in place of the in-process loopback
+// meshes. Three things change, none of them semantics:
 //
 //   - shipSlices broadcasts slice descriptors to the owning workers over
 //     the mesh (same broadcast tree, same delivery guarantee) but keeps
@@ -29,52 +27,12 @@ import (
 //     local execution, trading locality for progress, and the health
 //     detector handles the node's liveness separately.
 //   - heartbeat probes, MarkDead/MarkAlive and resync broadcasts flow over
-//     the mesh's sockets instead of in-process channels.
+//     the mesh's sockets instead of the loopback hub.
 //
-// Everything else — dependence analysis, retries, speculation, tracing —
-// is unchanged, which is the point: the paper's index-launch pipeline is
-// transport-agnostic, and the deterministic in-process transport remains
-// the default when Config.Cluster is nil.
-
-// transport is the delivery contract the runtime's centralized path needs.
-// *xport.Transport implements it in-process (deterministic, chaos-capable);
-// meshTransport implements it across processes over a wire.Mesh.
-type transport interface {
-	Broadcast(tag string, items []xport.Item)
-	BroadcastTraced(tc obs.TraceRef, tag string, items []xport.Item)
-	Probe(dst int, maxAttempts int) bool
-	MarkDead(node int)
-	MarkAlive(node int)
-	Recycle()
-	Shape() xport.TreeShape
-}
-
-// meshTransport adapts a wire.Mesh to the transport interface, serializing
-// the runtime's in-process payloads (slice shipments, resync markers) into
-// frame bodies.
-type meshTransport struct{ m *wire.Mesh }
-
-func (mt meshTransport) Broadcast(tag string, items []xport.Item) {
-	mt.m.Broadcast(tag, encodeClusterItems(items))
-}
-
-func (mt meshTransport) BroadcastTraced(tc obs.TraceRef, tag string, items []xport.Item) {
-	mt.m.BroadcastTraced(tc, tag, encodeClusterItems(items))
-}
-
-func (mt meshTransport) Probe(dst int, maxAttempts int) bool { return mt.m.Probe(dst, maxAttempts) }
-func (mt meshTransport) MarkDead(node int)                   { mt.m.MarkDead(node) }
-func (mt meshTransport) MarkAlive(node int)                  { mt.m.MarkAlive(node) }
-func (mt meshTransport) Recycle()                            { mt.m.Recycle() }
-func (mt meshTransport) Shape() xport.TreeShape              { return mt.m.Shape() }
-
-func encodeClusterItems(items []xport.Item) []wire.Item {
-	out := make([]wire.Item, len(items))
-	for i, it := range items {
-		out[i] = wire.Item{Dst: it.Dst, Payload: encodeClusterPayload(it.Payload)}
-	}
-	return out
-}
+// Everything else — dependence analysis, retries, speculation, tracing,
+// the payload codec below — is unchanged, which is the point: the paper's
+// index-launch pipeline is transport-agnostic, and the deterministic
+// in-process transport remains the default when Config.Cluster is nil.
 
 // Cluster payload type discriminators (first byte of a broadcast body).
 const (
@@ -82,8 +40,9 @@ const (
 	clusterPayloadResync = 2
 )
 
-// ClusterMsg is the decoded form of one cluster broadcast payload — what an
-// idxnode worker receives through its mesh Deliver callback.
+// ClusterMsg is the decoded form of one broadcast payload — what an idxnode
+// worker, or an in-process remote node's mesh, receives through its Deliver
+// callback.
 type ClusterMsg struct {
 	// Kind is "slice" or "resync".
 	Kind string
@@ -96,7 +55,16 @@ type ClusterMsg struct {
 	Epoch int64
 }
 
-// encodeClusterPayload serializes one transport payload for the mesh.
+// sliceMsg is the payload of one slice shipment: the slice plus its index
+// in the slicing functor's output, so deliveries — which complete in
+// arbitrary order under chaos — reassemble into the original deterministic
+// slice order.
+type sliceMsg struct {
+	idx int
+	s   Slice
+}
+
+// encodeClusterPayload serializes one broadcast payload for the mesh.
 func encodeClusterPayload(payload any) []byte {
 	switch m := payload.(type) {
 	case sliceMsg:
@@ -108,7 +76,7 @@ func encodeClusterPayload(payload any) []byte {
 		buf := []byte{clusterPayloadResync}
 		return binary.AppendVarint(buf, m.epoch)
 	default:
-		panic(fmt.Sprintf("rt: unshippable transport payload %T", payload))
+		panic(fmt.Sprintf("rt: unshippable broadcast payload %T", payload))
 	}
 }
 

@@ -2,12 +2,14 @@ package rt
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"indexlaunch/internal/core"
 	"indexlaunch/internal/domain"
+	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/wire"
 )
 
@@ -24,6 +26,23 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int, fn func(task string, point domain.Point, args []byte) ([]byte, error)) *testCluster {
 	t.Helper()
+	return chaosCluster(t, n, nil, nil, fn)
+}
+
+// chaosCluster is newTestCluster with plan applied to every hub port — the
+// in-process stand-in for a wire.Proxy between the processes — fast
+// retransmission, and node 0's mesh recording into reg (the workers keep
+// private registries, as separate processes would).
+func chaosCluster(t *testing.T, n int, plan *wire.ChaosPlan, reg *metrics.Registry,
+	fn func(task string, point domain.Point, args []byte) ([]byte, error)) *testCluster {
+	t.Helper()
+	var chaos *wire.Chaos
+	if plan != nil {
+		var err error
+		if chaos, err = wire.NewChaos(plan, reg); err != nil {
+			t.Fatal(err)
+		}
+	}
 	hub := wire.NewHub()
 	tc := &testCluster{
 		meshes:   make([]*wire.Mesh, n),
@@ -31,8 +50,16 @@ func newTestCluster(t *testing.T, n int, fn func(task string, point domain.Point
 		slices:   map[int][]ClusterMsg{},
 	}
 	for i := 0; i < n; i++ {
+		fab := hub.Fabric(i)
+		if chaos != nil {
+			fab = chaos.Wrap(fab)
+		}
+		var mreg *metrics.Registry
+		if i == 0 {
+			mreg = reg
+		}
 		m, err := wire.NewMesh(wire.MeshConfig{
-			Self: i, Nodes: n, Fabric: hub.Fabric(i),
+			Self: i, Nodes: n, Fabric: fab, Retransmit: fastRetransmit, Metrics: mreg,
 			Deliver: func(node int, tag string, payload []byte) {
 				msg, err := DecodeClusterPayload(payload)
 				if err != nil {
@@ -167,6 +194,80 @@ func TestClusterConfigValidation(t *testing.T) {
 		if _, err := New(c.cfg); err == nil {
 			t.Fatalf("%s: config accepted", c.name)
 		}
+	}
+}
+
+// One set of transport counters: in cluster mode Stats reads the xport_*
+// and health_* families the mesh and the detector record into the shared
+// registry, so they are live (not zero) and agree with /metrics. A chaos
+// plan between the processes and a partition of the 0<->1 link drive every
+// counter: retransmits, Result duplicates deduplicated at node 0, node 1
+// suspected and its subtree re-parented, heartbeat probes.
+func TestClusterStatsReadTransportCounters(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tc := chaosCluster(t, 8, &wire.ChaosPlan{
+		Seed: 3, Drop: 0.1, Dup: 0.3,
+		Partitions: []wire.Partition{{A: 0, B: 1, AfterSends: 0, Sends: 16}},
+	}, reg, func(task string, point domain.Point, args []byte) ([]byte, error) {
+		return EncodeF64(float64(point.X())), nil
+	})
+	r := MustNew(Config{Nodes: 8, ProcsPerNode: 2, IndexLaunches: true,
+		Cluster: tc.meshes[0], Heartbeat: testHeartbeat})
+	defer r.Shutdown()
+	id := r.MustRegisterTask("x", func(ctx *Context) ([]byte, error) {
+		return EncodeF64(float64(ctx.Point.X())), nil
+	})
+	for round := 0; round < 6; round++ {
+		fm, err := r.ExecuteIndex(&core.IndexLaunch{Task: id, Tag: "x", Domain: domain.Range1(0, 15)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum, err := fm.SumF64(); err != nil || sum != 120 {
+			t.Fatalf("round %d: sum %v, err %v; want 120", round, sum, err)
+		}
+	}
+	r.Fence()
+	if r.Metrics() != reg {
+		t.Fatal("runtime did not adopt the cluster mesh's registry")
+	}
+
+	st := r.Stats()
+	vals := map[string]int64{}
+	for _, f := range reg.Gather().Families {
+		if len(f.Series) == 1 && len(f.Series[0].Labels) == 0 {
+			vals[f.Name] = f.Series[0].Value
+		}
+	}
+	for _, c := range []struct {
+		name string
+		got  int64
+	}{
+		{metrics.NameXportSends, st.MsgSends},
+		{metrics.NameXportRetransmits, st.MsgRetransmits},
+		{metrics.NameXportDedups, st.MsgDedups},
+		{metrics.NameXportReparents, st.Reparents},
+		{metrics.NameHealthProbes, st.HealthProbes},
+	} {
+		if c.got == 0 {
+			t.Errorf("Stats field for %s reads 0 in cluster mode", c.name)
+		}
+		if c.got != vals[c.name] {
+			t.Errorf("Stats field for %s = %d, registry = %d", c.name, c.got, vals[c.name])
+		}
+	}
+	if st.HealthProbeFails == 0 || st.HealthProbeFails != vals[metrics.NameHealthProbeFails] {
+		t.Errorf("probe failures = %d, registry = %d; the partition must fail probes",
+			st.HealthProbeFails, vals[metrics.NameHealthProbeFails])
+	}
+}
+
+// The registry rule behind one set of counters: a cluster mesh recording
+// somewhere other than Config.Metrics is a configuration error.
+func TestClusterRejectsSplitRegistries(t *testing.T) {
+	tc := chaosCluster(t, 2, nil, metrics.NewRegistry(), func(string, domain.Point, []byte) ([]byte, error) { return nil, nil })
+	_, err := New(Config{Nodes: 2, ProcsPerNode: 1, Cluster: tc.meshes[0], Metrics: metrics.NewRegistry()})
+	if err == nil || !strings.Contains(err.Error(), "registry") {
+		t.Fatalf("split registries accepted: %v", err)
 	}
 }
 

@@ -6,23 +6,25 @@ import (
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/health"
 	"indexlaunch/internal/obs"
-	"indexlaunch/internal/xport"
+	"indexlaunch/internal/wire"
 )
 
 // This file wires the failure detector (internal/health) into the runtime.
 // With a HeartbeatPolicy configured, liveness stops being an input: instead
 // of an external KillNode call *telling* the runtime a node died, the
-// runtime probes its nodes with heartbeat messages over the transport's
-// broadcast tree and the detector turns missed heartbeats into state
-// transitions. The injector's kill becomes just one way a node stops
-// heartbeating (it is silenced, not declared dead), and a chaos partition
-// that starves a node's probes is another — both are *detected*, at an
-// issuance boundary, through the same machinery.
+// runtime probes its nodes with heartbeat messages over the transport and
+// the detector turns missed heartbeats into state transitions. The
+// injector's kill becomes just one way a node stops heartbeating (it is
+// silenced, not declared dead), and a chaos partition that starves a
+// node's probes is another — both are *detected*, at an issuance
+// boundary, through the same machinery.
 //
 // Determinism: heartbeat rounds are driven by the issuance counter, not a
 // timer. Every HeartbeatPolicy.Every issued point tasks, the issuing
 // goroutine runs one detector tick under issueMu — probing every node
-// synchronously through xport.Probe, whose outcome is a pure function of
+// directly from node 0 through Mesh.Probe. In process, a probe is settled
+// synchronously on the loopback hub (the chaos decorator may cut or drop
+// heartbeats but never delays them), so its outcome is a pure function of
 // the chaos plan and the probe order. For a fixed seed, program and
 // policy, the full suspect/rejoin transition log is therefore byte-for-byte
 // identical across runs, which the chaos determinism suite enforces.
@@ -33,7 +35,7 @@ import (
 // centralized path; each later launch re-ships slices to live nodes, so
 // the rejoined node's state refreshes naturally), readmits the node to the
 // mapper's node set, and re-parents the broadcast tree back toward its
-// denser original shape via xport.MarkAlive.
+// denser original shape via Mesh.MarkAlive.
 
 // HeartbeatPolicy enables and tunes the self-healing failure detector.
 type HeartbeatPolicy struct {
@@ -41,8 +43,8 @@ type HeartbeatPolicy struct {
 	// round runs each time the runtime-wide issuance counter crosses a
 	// multiple of Every. 0 disables detection.
 	Every int64
-	// ProbeAttempts bounds per-hop transmissions of one heartbeat probe
-	// before the probe is declared failed; 0 defaults to 3.
+	// ProbeAttempts bounds transmissions of one heartbeat probe before the
+	// probe is declared failed; 0 defaults to 3.
 	ProbeAttempts int
 	// SuspectPhi / DeadPhi / Window / RejoinRounds tune the accrual
 	// detector; zeros take the internal/health defaults.
@@ -104,16 +106,14 @@ func (r *Runtime) healthTick() {
 	}
 	attempts := r.cfg.Heartbeat.probeAttempts()
 	trs := hm.det.Tick(func(node int) bool {
-		if hm.silenced[node] {
-			// A silenced node's responder is down: the probe route may be
-			// fine, the answer never comes. The transport never sees the
-			// probe, so count it here on the same shared-registry counters
-			// xport.Probe increments for transported probes.
-			r.mx.HealthProbes.Inc()
+		r.mx.HealthProbes.Inc()
+		// A silenced node's responder is down: the link may be fine, the
+		// answer never comes, so the probe is not sent at all.
+		ok := !hm.silenced[node] && r.xp.Probe(node, attempts)
+		if !ok {
 			r.mx.HealthProbeFails.Inc()
-			return false
 		}
-		return r.xp.Probe(node, attempts)
+		return ok
 	})
 	for _, tr := range trs {
 		r.applyTransition(tr)
@@ -147,8 +147,9 @@ func (r *Runtime) applyTransition(tr health.Transition) {
 		if !r.cfg.DCR {
 			// Announce the new epoch through the transport; the next
 			// launch's slice broadcast re-ships the node's slices over the
-			// re-parented (denser) tree.
-			r.xp.Broadcast("resync", []xport.Item{{Dst: tr.Node, Payload: resyncMsg{epoch: r.hm.epoch}}})
+			// re-parented (denser) tree. A failure here means Shutdown
+			// closed the transport; the node is readmitted either way.
+			_ = r.xp.Broadcast("resync", []wire.Item{{Dst: tr.Node, Payload: encodeClusterPayload(resyncMsg{epoch: r.hm.epoch})}})
 		}
 	}
 	if prof := r.cfg.Profile; prof != nil {

@@ -15,7 +15,6 @@ import (
 	"indexlaunch/internal/region"
 	"indexlaunch/internal/safety"
 	"indexlaunch/internal/wire"
-	"indexlaunch/internal/xport"
 )
 
 // Config selects the runtime's execution mode. The four evaluation
@@ -62,10 +61,10 @@ type Config struct {
 	// issuance boundaries; nil injects none.
 	Fault *FaultInjector
 	// Heartbeat enables the self-healing failure detector: heartbeat probes
-	// over the transport's broadcast tree, accrual-based suspect/dead
-	// transitions, quarantine and rejoin. The zero value disables it, which
-	// keeps the explicit kill path's semantics. Enabling it gives the DCR
-	// path a transport too (probe traffic only).
+	// from node 0 to every node over the transport, accrual-based
+	// suspect/dead transitions, quarantine and rejoin. The zero value
+	// disables it, which keeps the explicit kill path's semantics. Enabling
+	// it gives the DCR path a transport too (probe traffic only).
 	Heartbeat HeartbeatPolicy
 	// Speculate enables straggler re-launch: point tasks running past an
 	// adaptive latency threshold get a backup attempt on another healthy
@@ -78,19 +77,20 @@ type Config struct {
 	// slice transport. Requires DCR == false: the DCR path replicates
 	// control and sends no slice messages. Nil injects none; the transport
 	// still carries slices fault-free when the path is centralized.
-	Chaos *xport.ChaosPlan
+	Chaos *wire.ChaosPlan
 	// Retransmit tunes the transport's per-hop ack-timeout ladder; the
 	// zero value uses the transport defaults.
-	Retransmit xport.RetransmitPolicy
-	// Cluster replaces the in-process transport with a socket mesh
-	// (internal/wire): slice shipments, probes and resync broadcasts
-	// travel over it, and region-free point tasks execute in the worker
-	// process owning their node. The mesh's node 0 must be this process
-	// and its size must equal Nodes. Requires the centralized path
-	// (DCR == false) and excludes Chaos — socket-level chaos is injected
-	// by wire.Proxy, outside the process. Nil (the default) keeps the
-	// deterministic in-process transport; every existing configuration is
-	// byte-identical in that mode.
+	Retransmit wire.RetransmitPolicy
+	// Cluster replaces the in-process loopback meshes with a socket mesh:
+	// slice shipments, probes and resync broadcasts travel over it, and
+	// region-free point tasks execute in the worker process owning their
+	// node. The mesh's node 0 must be this process and its size must equal
+	// Nodes. Requires the centralized path (DCR == false) and excludes
+	// Chaos — socket-level chaos is injected by wire.Proxy, outside the
+	// process. The mesh must record into Metrics (with Metrics nil the
+	// runtime adopts the mesh's registry), so Stats reads one set of
+	// transport counters. Nil (the default) keeps the deterministic
+	// in-process transport.
 	Cluster *wire.Mesh
 	// Profile attaches an observability recorder (internal/obs): pipeline
 	// stage spans (issuance, logical, distribution, physical, execute),
@@ -148,7 +148,7 @@ type Stats struct {
 	NodeFailures int64
 	Remapped     int64
 	// Message-transport counters, all zero when the runtime has no
-	// transport (DCR mode). MsgSends counts hop-level slice sends,
+	// transport (DCR mode). MsgSends counts hop-level frame sends,
 	// MsgRetransmits timeout-driven re-sends, MsgDrops chaos-lost
 	// transmissions (data and acks), MsgDedups received duplicates
 	// suppressed by sequence numbers.
@@ -219,15 +219,19 @@ type Runtime struct {
 	hm     *healthManager
 	specOn bool
 
-	// Message transport for the centralized path; nil in DCR mode. Either
-	// the deterministic in-process *xport.Transport or, in cluster mode, a
-	// meshTransport over Config.Cluster's socket mesh. The per-broadcast
-	// delivery handler is installed by shipSlices under deliverMu
-	// (transport goroutines call it concurrently).
-	xp        transport
+	// Message transport, nil in DCR mode without a HeartbeatPolicy. xp is
+	// node 0's mesh: the in-process hub's (meshes holds all of them, node
+	// 0 first, owned and closed by Shutdown) or, in cluster mode,
+	// Config.Cluster (cluster; owned by the caller). pending is the
+	// in-flight broadcast's reassembly and strays counts deliveries that
+	// matched none, both guarded by deliverMu (mesh Deliver callbacks run
+	// on fabric goroutines).
+	xp        *wire.Mesh
+	meshes    []*wire.Mesh
 	cluster   *wire.Mesh
 	deliverMu sync.Mutex
-	deliverFn func(node int, payload any)
+	pending   *reassembly
+	strays    int64
 
 	// stop cancels in-flight retry backoff waits on Shutdown.
 	stop     chan struct{}
@@ -298,6 +302,16 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("rt: config requires Speculate.Quantile in [0, 1), got %v", q)
 	}
 	reg := cfg.Metrics
+	if cfg.Cluster != nil {
+		// One set of transport counters: the cluster mesh records the
+		// xport_* families Stats reads, so the runtime records beside it.
+		switch {
+		case reg == nil:
+			reg = cfg.Cluster.Metrics()
+		case reg != cfg.Cluster.Metrics():
+			return nil, fmt.Errorf("rt: Cluster mesh records into a different registry than Config.Metrics")
+		}
+	}
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
@@ -319,8 +333,8 @@ func New(cfg Config) (*Runtime, error) {
 	r.specOn = cfg.Speculate.Enabled() && cfg.Nodes > 1
 	// The centralized path always gets a transport (it ships slices); with
 	// a HeartbeatPolicy the DCR path gets one too, carrying probe traffic
-	// only — the detector needs real routes for chaos to starve. Cluster
-	// mode swaps the in-process transport for the socket mesh.
+	// only. Cluster mode swaps the in-process loopback meshes for the
+	// socket mesh.
 	switch {
 	case cfg.Cluster != nil:
 		if cfg.DCR {
@@ -336,19 +350,11 @@ func New(cfg Config) (*Runtime, error) {
 			return nil, fmt.Errorf("rt: Cluster node %d cannot host the runtime: only node 0 issues launches", self)
 		}
 		r.cluster = cfg.Cluster
-		r.xp = meshTransport{m: cfg.Cluster}
+		r.xp = cfg.Cluster
 	case !cfg.DCR || cfg.Heartbeat.Enabled():
-		xp, err := xport.New(cfg.Nodes, xport.Options{
-			Chaos:      cfg.Chaos,
-			Retransmit: cfg.Retransmit,
-			Prof:       cfg.Profile,
-			Metrics:    reg,
-			Deliver:    r.transportDeliver,
-		})
-		if err != nil {
+		if err := r.startLoopback(); err != nil {
 			return nil, err
 		}
-		r.xp = xp
 	}
 	if cfg.Profile != nil {
 		r.profIDs = map[*Event]int64{}
@@ -405,9 +411,9 @@ func (r *Runtime) TaskNamed(name string) (core.TaskID, bool) {
 // Stats returns a snapshot of the pipeline counters. It is a read-through
 // view over the runtime's metrics registry — the same counters /metrics
 // exposes — so every value is an atomic read and snapshots taken while
-// tasks execute concurrently are never torn. The transport registers its
-// counters on the same registry, so the Msg* fields need no transport
-// round-trip (they stay zero in DCR mode, which sends no slice messages).
+// tasks execute concurrently are never torn. The transport's meshes record
+// into the same registry, so the Msg* fields need no transport round-trip
+// (they stay zero in DCR mode, which sends no slice messages).
 func (r *Runtime) Stats() Stats {
 	mx := r.mx
 	return Stats{
@@ -486,8 +492,11 @@ func (r *Runtime) Recycle() error {
 	if r.profIDs != nil {
 		clear(r.profIDs)
 	}
-	if r.xp != nil {
-		r.xp.Recycle()
+	if r.cluster != nil {
+		r.cluster.Recycle()
+	}
+	for _, m := range r.meshes {
+		m.Recycle()
 	}
 	r.jobTC = obs.TraceRef{}
 	r.tcSeq = 0
@@ -568,12 +577,17 @@ var ErrShutdown = errors.New("rt: runtime shut down")
 // waits: a task sleeping in its backoff ladder wakes immediately and fails
 // with its last error, and a goroutine blocked in FenceTimeout or
 // FenceContext returns ErrShutdown, instead of holding the caller hostage
-// for the rest of the ladder. Tasks already executing run to completion;
-// heartbeat rounds (and thus quarantine/rejoin transitions) stop at the
-// next issuance boundary. Idempotent and safe to race with an in-flight
-// rejoin.
+// for the rest of the ladder. It also closes the in-process transport
+// (a Config.Cluster mesh belongs to the caller): later centralized
+// launches with remote slices fail. Tasks already executing run to
+// completion; heartbeat rounds (and thus quarantine/rejoin transitions)
+// stop at the next issuance boundary. Idempotent and safe to race with an
+// in-flight rejoin.
 func (r *Runtime) Shutdown() {
-	r.stopOnce.Do(func() { close(r.stop) })
+	r.stopOnce.Do(func() {
+		close(r.stop)
+		r.closeMeshes()
+	})
 }
 
 // ExecuteIndex issues an index launch and returns its future map. The
@@ -644,7 +658,10 @@ func (r *Runtime) ExecuteIndex(l *core.IndexLaunch) (*FutureMap, error) {
 	if timed {
 		tDist = r.nowNS()
 	}
-	assign := r.assignNodes(l.Domain, l.Tag, ltc.Child(tcDistribute))
+	assign, err := r.assignNodes(l.Domain, l.Tag, ltc.Child(tcDistribute))
+	if err != nil {
+		return nil, err
+	}
 	if timed {
 		distNS = r.nowNS() - tDist
 	}
@@ -655,7 +672,7 @@ func (r *Runtime) ExecuteIndex(l *core.IndexLaunch) (*FutureMap, error) {
 	r.pendingPointEvs = r.pendingPointEvs[:0]
 
 	fm := newFutureMap()
-	err := l.Each(func(pt core.PointTask) bool {
+	err = l.Each(func(pt core.PointTask) bool {
 		prs := make([]PhysicalRegion, len(pt.Regions))
 		for i, reg := range pt.Regions {
 			req := l.Requirements[i]
@@ -790,14 +807,17 @@ func (r *Runtime) ExecuteSingle(tag string, task core.TaskID, reqs []SingleReq, 
 // the centralized path the slices are first shipped from node 0 through the
 // message transport's broadcast tree; the assignment is built from the
 // delivered slices, reassembled into the slicing functor's original order.
-func (r *Runtime) assignNodes(d domain.Domain, tag string, tc obs.TraceRef) func(domain.Point) int {
+func (r *Runtime) assignNodes(d domain.Domain, tag string, tc obs.TraceRef) (func(domain.Point) int, error) {
 	if r.cfg.DCR {
 		return func(p domain.Point) int {
 			n := r.mapper.ShardPoint(d, p, r.cfg.Nodes)
 			return clampNode(n, r.cfg.Nodes)
-		}
+		}, nil
 	}
-	slices := r.shipSlices(tag, r.mapper.Slice(d, r.cfg.Nodes), tc)
+	slices, err := r.shipSlices(tag, r.mapper.Slice(d, r.cfg.Nodes), tc)
+	if err != nil {
+		return nil, err
+	}
 	return func(p domain.Point) int {
 		for _, s := range slices {
 			if s.Domain.Contains(p) {
@@ -805,7 +825,7 @@ func (r *Runtime) assignNodes(d domain.Domain, tag string, tc obs.TraceRef) func
 			}
 		}
 		return 0
-	}
+	}, nil
 }
 
 func clampNode(n, nodes int) int {
@@ -902,7 +922,6 @@ func (r *Runtime) issuePoint(task core.TaskID, tag string, p domain.Point, node 
 	skipOnFailure := r.cfg.OnUpstreamFailure == SkipDependents
 	r.mx.InflightTasks.Add(1)
 	go func() {
-		defer r.mx.InflightTasks.Add(-1)
 		if cause := WaitAllErr(deps); cause != nil && skipOnFailure {
 			// A precondition is poisoned: skip the body and cascade the
 			// failure downstream through this task's own event.
@@ -910,6 +929,7 @@ func (r *Runtime) issuePoint(task core.TaskID, tag string, p domain.Point, node 
 			if prof != nil {
 				prof.MarkTC(ptc.Child(tcFaultSkip), node, obs.StageFault, name, tag, p, prof.Now())
 			}
+			r.mx.InflightTasks.Add(-1)
 			fut.complete(nil, &TaskError{
 				Task: name, Tag: tag, Point: p, Node: node,
 				Err: fmt.Errorf("%w: %w", ErrUpstreamFailed, cause),
@@ -922,7 +942,9 @@ func (r *Runtime) issuePoint(task core.TaskID, tag string, p domain.Point, node 
 			tr.spec = &specState{cancel: make(chan struct{})}
 			r.armSpeculation(tr, node)
 		}
-		r.runAttempt(tr, node, false)
+		if !r.runAttempt(tr, node, false) {
+			r.mx.InflightTasks.Add(-1) // a committed attempt dropped it
+		}
 	}()
 	return fut
 }

@@ -11,7 +11,7 @@ import (
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/health"
 	"indexlaunch/internal/region"
-	"indexlaunch/internal/xport"
+	"indexlaunch/internal/wire"
 )
 
 // testHeartbeat is the policy the self-heal tests run under: one detector
@@ -25,7 +25,7 @@ var testHeartbeat = HeartbeatPolicy{Every: 4, ProbeAttempts: 1}
 // sum, the stats and the rendered detector log. No node is ever killed
 // explicitly: any liveness transitions come from the detector observing the
 // plan's effect on heartbeat probes.
-func selfHealRun(t *testing.T, plan *xport.ChaosPlan) (float64, Stats, string) {
+func selfHealRun(t *testing.T, plan *wire.ChaosPlan) (float64, Stats, string) {
 	t.Helper()
 	r := MustNew(Config{
 		Nodes: 8, ProcsPerNode: 2, IndexLaunches: true,
@@ -54,10 +54,10 @@ func selfHealRun(t *testing.T, plan *xport.ChaosPlan) (float64, Stats, string) {
 // detector must notice node 1 (and the subtree it relays for) going silent,
 // quarantine it when the window heals, and readmit it — all without any
 // KillNode call.
-func selfHealPlan(seed int64) *xport.ChaosPlan {
-	return &xport.ChaosPlan{
+func selfHealPlan(seed int64) *wire.ChaosPlan {
+	return &wire.ChaosPlan{
 		Seed:       seed,
-		Partitions: []xport.Partition{{A: 0, B: 1, AfterSends: 0, Sends: 16}},
+		Partitions: []wire.Partition{{A: 0, B: 1, AfterSends: 0, Sends: 16}},
 	}
 }
 

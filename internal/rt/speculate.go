@@ -169,8 +169,9 @@ func (r *Runtime) armSpeculation(tr *taskRun, orig int) {
 			prof.MarkTC(tr.tc.Child(tcSpecBackup), backup, obs.StageSpeculate, tr.name, tr.tag, tr.point, prof.Now())
 		}
 		r.mx.InflightTasks.Add(1)
-		defer r.mx.InflightTasks.Add(-1)
-		r.runAttempt(tr, backup, true)
+		if !r.runAttempt(tr, backup, true) {
+			r.mx.InflightTasks.Add(-1) // a committed attempt dropped it
+		}
 	}()
 }
 
@@ -185,19 +186,22 @@ func (r *Runtime) specLost(tr *taskRun, node int) {
 
 // runAttempt executes one attempt (original or backup) of tr on node: slot
 // acquisition, the retry ladder, and the commit race. Exactly one attempt
-// per task reaches commitAttempt's critical section.
-func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool) {
+// per task reaches commitAttempt's critical section; it reports true, and
+// has then dropped its attempt's busy and in-flight counts already.
+func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool) (won bool) {
 	slot := r.slots[node]
 	slot <- struct{}{}
 	r.mx.BusyProcs.Add(1)
 	defer func() {
-		r.mx.BusyProcs.Add(-1)
+		if !won {
+			r.mx.BusyProcs.Add(-1)
+		}
 		<-slot
 	}()
 	if tr.lost() {
 		// The other attempt finished while this one queued for a slot.
 		r.specLost(tr, node)
-		return
+		return false
 	}
 	timedExec := tr.timed || r.specOn
 	var tExec int64
@@ -216,8 +220,7 @@ func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool) {
 		val, err = r.execBody(tr, ctx, node)
 		if err == nil {
 			attempts++
-			r.commitAttempt(tr, ctx, node, backup, val, nil, attempts, tExec, timedExec)
-			return
+			return r.commitAttempt(tr, ctx, node, backup, val, nil, attempts, tExec, timedExec)
 		}
 		attempts++
 		if attempts > retry.Max {
@@ -226,7 +229,7 @@ func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool) {
 		if tr.lost() {
 			// No point retrying a race already lost.
 			r.specLost(tr, node)
-			return
+			return false
 		}
 		r.mx.Retries.Inc()
 		if prof := r.cfg.Profile; prof != nil {
@@ -240,20 +243,20 @@ func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool) {
 			}
 		}
 	}
-	r.commitAttempt(tr, nil, node, backup, val, err, attempts, tExec, timedExec)
+	return r.commitAttempt(tr, nil, node, backup, val, err, attempts, tExec, timedExec)
 }
 
 // commitAttempt is the single point where an attempt's outcome becomes the
 // task's outcome: winner-takes-all under speculation, unconditional
 // otherwise. Only the winner flushes reductions, records the execute span
-// and completes the future.
+// and completes the future; it reports whether this attempt won.
 func (r *Runtime) commitAttempt(tr *taskRun, ctx *Context, node int, backup bool,
-	val []byte, err error, attempts int, tExec int64, timedExec bool) {
+	val []byte, err error, attempts int, tExec int64, timedExec bool) bool {
 
 	if tr.spec != nil {
 		if !tr.spec.committed.CompareAndSwap(false, true) {
 			r.specLost(tr, node)
-			return
+			return false
 		}
 		close(tr.spec.cancel)
 	}
@@ -291,5 +294,11 @@ func (r *Runtime) commitAttempt(tr *taskRun, ctx *Context, node int, backup bool
 			prof.MarkTC(tr.tc.Child(tcSpecWon), node, obs.StageSpeculate, tr.name, tr.tag, tr.point, prof.Now())
 		}
 	}
+	// Drop the attempt's gauges before completing, so a fence that returns
+	// never sees the tasks it waited on still counted busy or in flight;
+	// the slot itself is freed when runAttempt returns.
+	r.mx.BusyProcs.Add(-1)
+	r.mx.InflightTasks.Add(-1)
 	tr.fut.complete(val, err)
+	return true
 }

@@ -3,7 +3,6 @@ package rt
 import (
 	"indexlaunch/internal/health"
 	"indexlaunch/internal/wire"
-	"indexlaunch/internal/xport"
 )
 
 // Status is a point-in-time introspection snapshot of a running runtime:
@@ -35,7 +34,7 @@ type Status struct {
 	// Tree is the broadcast tree's current shape; nil in DCR mode, which
 	// has no slice transport (unless a HeartbeatPolicy attached a
 	// probe-only transport).
-	Tree *xport.TreeShape `json:"tree,omitempty"`
+	Tree *wire.TreeShape `json:"tree,omitempty"`
 
 	// Health is the live per-node health table (state, phi, last-OK
 	// round); nil without a HeartbeatPolicy. HealthSummary aggregates it,

@@ -199,16 +199,21 @@ func TestSchedShutdownFailsQueued(t *testing.T) {
 		}
 		queued = append(queued, id)
 	}
-	close(release)
-	s.Shutdown()
-	for _, id := range running {
-		if err := s.Wait(id); err != nil {
-			t.Fatalf("running job %d: %v", id, err)
-		}
-	}
+	// Shut down while both executors are still busy, and release them only
+	// once the queued jobs have been failed: released first, an executor
+	// could pick a queued job up before Shutdown abandons the queue.
+	shut := make(chan struct{})
+	go func() { s.Shutdown(); close(shut) }()
 	for _, id := range queued {
 		if err := s.Wait(id); !errors.Is(err, ErrSchedulerClosed) {
 			t.Fatalf("queued job %d after shutdown: %v, want ErrSchedulerClosed", id, err)
+		}
+	}
+	close(release)
+	<-shut
+	for _, id := range running {
+		if err := s.Wait(id); err != nil {
+			t.Fatalf("running job %d: %v", id, err)
 		}
 	}
 	if _, err := s.Submit(JobSpec{Tenant: "a", Run: func(*JobContext, *rt.Runtime) error { return nil }}); !errors.Is(err, ErrSchedulerClosed) {

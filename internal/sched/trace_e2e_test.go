@@ -87,7 +87,7 @@ func TestTraceEndToEndCrossesAllLayers(t *testing.T) {
 		return false
 	}
 	// The acceptance contract: at least one span from each layer — sched
-	// (enqueue/admit), rt (issue/execute), xport (send/recv) — plus the
+	// (enqueue/admit), rt (issue/execute), wire (send/recv) — plus the
 	// synthesized job root.
 	for _, want := range []string{"job", "enqueue", "admit", "issue", "execute", "send", "recv"} {
 		if !has(want) {

@@ -71,7 +71,7 @@ type CostModel struct {
 	// HopLatency is the message-transport overhead per broadcast-tree hop
 	// (sequence bookkeeping and ack turnaround), on top of the network
 	// latency and SliceHandling — the cost-domain mirror of
-	// internal/xport's reliable hop.
+	// internal/wire's reliable hop.
 	HopLatency float64
 	// RetransmitTimeout is the delay a hop pays when its transmission is
 	// dropped (FaultModel.DropEveryHop): the ack timeout that elapses
@@ -148,7 +148,7 @@ func DefaultCosts() CostModel {
 // kernel launch and compute. DropEveryHop does the same for the message
 // transport: every DropEveryHop-th broadcast-tree hop transmission (counted
 // runtime-wide) is dropped and re-sent after RetransmitTimeout, mirroring
-// internal/xport's chaos injection. Zeros disable injection.
+// internal/wire's chaos injection. Zeros disable injection.
 type FaultModel struct {
 	RetryEvery   int64
 	DropEveryHop int64

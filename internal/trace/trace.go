@@ -1,6 +1,6 @@
 // Package trace is the end-to-end job tracing layer: the tail-sampling
 // collector that turns the span-stamped obs events flowing out of sched,
-// rt and xport into queryable per-job traces.
+// rt and the wire transport into queryable per-job traces.
 //
 // The division of labor with internal/obs: obs owns the span schema
 // (TraceRef, the Trace/Span/Parent fields on Event) and the cheap

@@ -182,7 +182,7 @@ func (t *Trace) Render(w io.Writer) error {
 }
 
 // Stages returns the distinct stage names present in the trace, sorted —
-// the quick "did sched, rt and xport all contribute?" check.
+// the quick "did sched, rt and the transport all contribute?" check.
 func (t *Trace) Stages() []string {
 	seen := map[string]bool{}
 	for _, ev := range t.Spans {

@@ -7,7 +7,6 @@ import (
 
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/obs"
-	"indexlaunch/internal/xport"
 )
 
 func benchFrame() *Frame {
@@ -79,7 +78,7 @@ func BenchmarkTCPExecRTT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rp := xport.RetransmitPolicy{Timeout: 50 * time.Millisecond, MaxBackoff: 400 * time.Millisecond}
+	rp := RetransmitPolicy{Timeout: 50 * time.Millisecond, MaxBackoff: 400 * time.Millisecond}
 	m0, err := NewMesh(MeshConfig{Self: 0, Nodes: 2, Fabric: launcher, Retransmit: rp, ExecTimeout: 30 * time.Second})
 	if err != nil {
 		b.Fatal(err)

@@ -85,6 +85,31 @@ func AppendFrame(buf []byte, f *Frame) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(framed, castagnoli))
 }
 
+// frameSize returns the length prefix AppendFrame writes for f — the
+// framed header and body plus the CRC trailer, the quantity decoders bound
+// by MaxFrameSize — with Seq counted at its widest, so the bound holds for
+// whatever sequence number the frame is later sent under.
+func frameSize(f *Frame) int {
+	n := 2 + 2 + binary.MaxVarintLen64 + 3*8 + 4 // version, kind, flags, seq, trace triple, crc
+	for _, v := range []uint64{uint64(f.Src), uint64(f.Dst), f.Gen, f.Key,
+		uint64(len(f.Route)), uint64(len(f.Tag)), uint64(len(f.Body))} {
+		n += uvarintLen(v)
+	}
+	for _, hop := range f.Route {
+		n += uvarintLen(uint64(hop))
+	}
+	return n + len(f.Tag) + len(f.Body)
+}
+
+// uvarintLen is the encoded length of v as a uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 // EncodeFrame encodes f into a fresh buffer.
 func EncodeFrame(f *Frame) []byte { return AppendFrame(nil, f) }
 

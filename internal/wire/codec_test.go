@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
@@ -205,5 +206,20 @@ func TestExecReqRoundTrip(t *testing.T) {
 	_, got, err = decodeExecRes(encodeExecRes(7, fail))
 	if err != nil || got.ok || got.err != "task exploded" {
 		t.Fatalf("error round trip: %v %+v", err, got)
+	}
+}
+
+// frameSize is exact up to the sequence number, which it counts at its
+// widest so the bound holds for any seq the frame is later sent under.
+func TestFrameSizeBoundsEncoding(t *testing.T) {
+	for _, f := range sampleFrames() {
+		buf := EncodeFrame(f)
+		total, n := binary.Uvarint(buf)
+		if n <= 0 || n+int(total) != len(buf) {
+			t.Fatalf("%v: bad length prefix", f.Kind)
+		}
+		if got, want := frameSize(f), int(total)+binary.MaxVarintLen64-uvarintLen(f.Seq); got != want {
+			t.Errorf("%v: frameSize = %d, want %d", f.Kind, got, want)
+		}
 	}
 }

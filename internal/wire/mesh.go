@@ -5,29 +5,67 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"indexlaunch/internal/domain"
 	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/obs"
-	"indexlaunch/internal/xport"
 )
 
-// Mesh is the out-of-process implementation of the delivery contract
-// xport.Transport provides in-process. Broadcasts from node 0 route
-// through the identical binary broadcast tree (xport.PlanRoutes — the same
-// re-parenting and direct-send degradation decisions), every hop is
-// covered by ack/timeout retransmission on the shared RetransmitPolicy
-// ladder, receivers deduplicate by per-link sequence number, and Broadcast
-// returns only when every payload has been delivered exactly once. On top
-// of the xport contract the mesh adds what only a real network needs:
-// Ping/Pong heartbeats with measured RTT, and Exec/Result remote task
-// execution (what cmd/idxnode serves).
+// Mesh is the runtime's one reliable-delivery engine. Broadcasts from node
+// 0 route through the binary broadcast tree (tree.go — re-parenting around
+// dead relays and the direct-send degradation), every hop is covered by
+// ack/timeout retransmission on the RetransmitPolicy ladder, receivers
+// deduplicate by per-link sequence number, relays ack upstream only after
+// their downstream hop acked, and Broadcast returns only when every payload
+// has been delivered exactly once. Ping/Pong heartbeats carry the failure
+// detector's probes, and Exec/Result frames run task bodies remotely (what
+// cmd/idxnode serves).
 //
-// One Mesh instance runs in every participating process, all over the same
-// Fabric kind: a loopback hub keeps everything deterministic and
-// in-process, a TCP fabric crosses machine boundaries. The mesh does not
-// care which — loss, duplication and reordering are recovered identically.
+// One Mesh instance runs per node, all over the same Fabric kind: the
+// in-process runtime puts every node's mesh on one loopback Hub (wrapped
+// by a Chaos decorator when a ChaosPlan is set), a cluster puts one mesh
+// in each process over TCP. The mesh does not care which — loss,
+// duplication and reordering are recovered identically.
+
+// RetransmitPolicy tunes the per-hop ack-timeout ladder.
+type RetransmitPolicy struct {
+	// Timeout is the ack wait before the first retransmission; each
+	// further attempt doubles it. Zero defaults to 1ms.
+	Timeout time.Duration
+	// MaxBackoff caps the doubling; zero defaults to 16ms.
+	MaxBackoff time.Duration
+}
+
+const (
+	defaultTimeout    = time.Millisecond
+	defaultMaxBackoff = 16 * time.Millisecond
+)
+
+// WaitFor returns the capped ack timeout for the given 1-based attempt.
+func (rp RetransmitPolicy) WaitFor(attempt int) time.Duration {
+	base := rp.Timeout
+	if base <= 0 {
+		base = defaultTimeout
+	}
+	max := rp.MaxBackoff
+	if max <= 0 {
+		max = defaultMaxBackoff
+	}
+	if attempt < 1 {
+		attempt = 1
+	}
+	shift := uint(attempt - 1)
+	if shift >= 63 {
+		return max
+	}
+	d := base << shift
+	if d <= 0 || d > max || d>>shift != base {
+		return max
+	}
+	return d
+}
 
 // MeshConfig configures a Mesh.
 type MeshConfig struct {
@@ -38,13 +76,14 @@ type MeshConfig struct {
 	// Fabric carries encoded frames; required.
 	Fabric Fabric
 	// Retransmit tunes the per-hop ack-timeout ladder; the zero value uses
-	// the xport defaults.
-	Retransmit xport.RetransmitPolicy
+	// the defaults.
+	Retransmit RetransmitPolicy
 	// Prof records send/recv/retransmit spans (byte counts ride the tag);
 	// nil disables profiling.
 	Prof *obs.Recorder
-	// Metrics receives the wire_* families; nil keeps them in a private
-	// registry so Stats always works.
+	// Metrics receives the delivery aggregates (the shared xport_*
+	// families rt.Stats reads) and the wire_* codec, exec and per-peer
+	// families; nil keeps them in a private registry so Stats always works.
 	Metrics *metrics.Registry
 	// Deliver receives each broadcast payload exactly once at its
 	// destination node. May be called from fabric goroutines.
@@ -62,6 +101,10 @@ type MeshConfig struct {
 // back to local execution on it.
 var ErrUnreachable = errors.New("wire: peer unreachable")
 
+// ErrClosed marks a broadcast abandoned because the mesh closed before
+// every hop was acked.
+var ErrClosed = errors.New("wire: mesh closed")
+
 type meshLink struct{ src, dst int }
 
 // Mesh implements reliable tree-routed delivery over a Fabric.
@@ -69,7 +112,7 @@ type Mesh struct {
 	self  int
 	nodes int
 	fab   Fabric
-	rp    xport.RetransmitPolicy
+	rp    RetransmitPolicy
 	prof  *obs.Recorder
 	mx    *wireMetrics
 	reg   *metrics.Registry
@@ -84,7 +127,7 @@ type Mesh struct {
 	seen     map[meshLink]map[uint64]struct{}
 	seenGen  map[meshLink]uint64 // generation the link's seen-set belongs to
 	inflight map[meshLink]map[uint64]struct{}
-	ackWait  map[meshLink]map[uint64]chan struct{}
+	ackWait  map[meshLink]map[uint64]ackWaiter
 
 	pingSeq  uint64
 	pingWait map[uint64]chan struct{}
@@ -95,6 +138,15 @@ type Mesh struct {
 	deliver func(node int, tag string, payload []byte)
 
 	closed chan struct{}
+}
+
+// ackWaiter is one reliable send awaiting its hop ack. gen is the frame's
+// delivery generation: only an ack echoing it completes the send, so a
+// delayed ack from before a Recycle cannot complete a newer send that
+// reuses its sequence number.
+type ackWaiter struct {
+	gen uint64
+	ch  chan struct{}
 }
 
 type execResult struct {
@@ -135,7 +187,7 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		seen:        map[meshLink]map[uint64]struct{}{},
 		seenGen:     map[meshLink]uint64{},
 		inflight:    map[meshLink]map[uint64]struct{}{},
-		ackWait:     map[meshLink]map[uint64]chan struct{}{},
+		ackWait:     map[meshLink]map[uint64]ackWaiter{},
 		pingWait:    map[uint64]chan struct{}{},
 		execWait:    map[uint64]chan execResult{},
 		deliver:     cfg.Deliver,
@@ -160,14 +212,15 @@ func (m *Mesh) Nodes() int { return m.nodes }
 // Self returns this process's node id.
 func (m *Mesh) Self() int { return m.self }
 
-// Metrics returns the registry the mesh records the wire_* families into.
+// Metrics returns the registry the mesh records into.
 func (m *Mesh) Metrics() *metrics.Registry { return m.reg }
 
 // Peers returns the fabric's peer table for /statusz.
 func (m *Mesh) Peers() []PeerStatus { return m.fab.Peers() }
 
-// MarkDead removes a node from routing (same contract as
-// xport.Transport.MarkDead: the caller serializes against Broadcast).
+// MarkDead removes a node from routing: future broadcasts re-parent its
+// orphaned subtree onto surviving ancestors. In-flight frames are not
+// recalled — the caller serializes MarkDead against Broadcast.
 func (m *Mesh) MarkDead(node int) {
 	if node < 0 || node >= m.nodes {
 		return
@@ -187,42 +240,63 @@ func (m *Mesh) MarkAlive(node int) {
 	m.mu.Unlock()
 }
 
-// Shape reports the broadcast tree's current shape — the same computation
-// xport.Transport.Shape performs on its liveness snapshot.
-func (m *Mesh) Shape() xport.TreeShape {
+// Shape reports the broadcast tree's shape under the current liveness
+// snapshot.
+func (m *Mesh) Shape() TreeShape {
 	m.mu.Lock()
 	alive := make([]bool, len(m.alive))
 	copy(alive, m.alive)
 	m.mu.Unlock()
-	return xport.ShapeOf(alive)
+	return shapeOf(alive)
 }
 
-// Stats snapshots the mesh delivery counters in xport's Stats shape, so
-// cluster and in-process callers read the same structure.
-func (m *Mesh) Stats() xport.Stats {
-	return xport.Stats{
+// Stats is a snapshot of the delivery counters in the mesh's registry.
+// Meshes sharing a registry (the in-process runtime's hub) share them.
+type Stats struct {
+	// Sends counts hop-level first transmissions; Retransmits counts
+	// ack-timeout-driven re-sends on top of them.
+	Sends       int64
+	Retransmits int64
+	// Drops counts transmissions a Chaos decorator recording into the
+	// same registry discarded.
+	Drops int64
+	// Dedups counts received duplicates suppressed by sequence numbers.
+	Dedups int64
+	// Reparents counts orphan adoptions (live nodes routed through a
+	// surviving ancestor because their parent is dead), per broadcast;
+	// DirectBroadcasts counts broadcasts that abandoned a degraded tree
+	// for direct node-0 sends.
+	Reparents        int64
+	DirectBroadcasts int64
+}
+
+// Stats snapshots the delivery counters.
+func (m *Mesh) Stats() Stats {
+	return Stats{
 		Sends:            m.mx.sends.Value(),
 		Retransmits:      m.mx.retransmits.Value(),
+		Drops:            m.mx.drops.Value(),
 		Dedups:           m.mx.dedups.Value(),
 		Reparents:        m.mx.reparents.Value(),
 		DirectBroadcasts: m.mx.directs.Value(),
 	}
 }
 
-// Recycle clears the per-session delivery state by bumping the delivery
-// generation: receivers reset a link's dedup set when they see a frame
-// from a newer generation, so sequence numbers restart cleanly between
-// scheduler jobs without a cross-process round trip. The caller must be
-// quiescent (no Broadcast or Probe in flight), as with xport.
+// Recycle clears the per-session send state by bumping the delivery
+// generation: sequence numbers restart cleanly between scheduler jobs
+// without a cross-process round trip, and acks are fenced by generation so
+// a late ack never completes a newer send. Receive state is left alone: a
+// receiver replaces a link's dedup set when the first frame of a newer
+// generation arrives, and until then the old set is what marks a late
+// copy of an old frame as a duplicate — clearing it here would let that
+// copy deliver again. The caller must be quiescent (no Broadcast or Probe
+// in flight).
 func (m *Mesh) Recycle() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.gen++
 	m.nextSeq = map[meshLink]uint64{}
-	m.seen = map[meshLink]map[uint64]struct{}{}
-	m.seenGen = map[meshLink]uint64{}
-	m.inflight = map[meshLink]map[uint64]struct{}{}
-	m.ackWait = map[meshLink]map[uint64]chan struct{}{}
+	m.ackWait = map[meshLink]map[uint64]ackWaiter{}
 }
 
 // Close tears the mesh (and its fabric) down.
@@ -237,18 +311,21 @@ func (m *Mesh) Close() error {
 
 // Broadcast ships every item from node 0 through the broadcast tree and
 // blocks until each payload has been delivered (and acked) exactly once.
-// Same contract as xport.Transport.Broadcast: destinations must be live,
-// non-zero nodes; only node 0 broadcasts.
-func (m *Mesh) Broadcast(tag string, items []Item) {
-	m.BroadcastTraced(obs.TraceRef{}, tag, items)
+// Destinations must be live, non-zero nodes; only node 0 broadcasts. An
+// item whose frame would exceed MaxFrameSize fails the whole broadcast
+// with ErrTooLarge before anything is sent (a receiver would reject the
+// frame and the hop would retransmit forever); a mesh closed mid-broadcast
+// fails it with ErrClosed.
+func (m *Mesh) Broadcast(tag string, items []Item) error {
+	return m.BroadcastTraced(obs.TraceRef{}, tag, items)
 }
 
 // BroadcastTraced is Broadcast with a span context riding the frame
 // headers; every hop records a send span whose tag carries the frame's
 // payload byte count.
-func (m *Mesh) BroadcastTraced(tc obs.TraceRef, tag string, items []Item) {
+func (m *Mesh) BroadcastTraced(tc obs.TraceRef, tag string, items []Item) error {
 	if len(items) == 0 {
-		return
+		return nil
 	}
 	m.mu.Lock()
 	alive := make([]bool, len(m.alive))
@@ -260,32 +337,45 @@ func (m *Mesh) BroadcastTraced(tc obs.TraceRef, tag string, items []Item) {
 	for i, it := range items {
 		dsts[i] = it.Dst
 	}
-	plan := xport.PlanRoutes(alive, dsts)
-	m.mx.reparents.Add(int64(plan.Reparents))
-	if plan.Direct {
-		m.mx.directs.Inc()
-	}
+	plan := planRoutes(alive, dsts)
+	frames := make([]*Frame, len(items))
 	depth := 0
-	for _, route := range plan.Routes {
-		if len(route) > depth {
-			depth = len(route)
+	for i, it := range items {
+		f := &Frame{
+			Kind: KindData, Src: m.self, Gen: gen, Key: uint64(i + 1), TC: tc,
+			Route: plan.routes[it.Dst], Tag: tag, Body: it.Payload,
 		}
+		f.Dst = f.Route[0]
+		// The first hop carries the longest route, so it is the largest.
+		if n := frameSize(f); n > MaxFrameSize {
+			return fmt.Errorf("%w: broadcast %q item for node %d needs %d bytes, limit %d",
+				ErrTooLarge, tag, it.Dst, n, MaxFrameSize)
+		}
+		frames[i] = f
+		depth = max(depth, len(f.Route))
+	}
+	m.mx.reparents.Add(int64(plan.reparents))
+	if plan.direct {
+		m.mx.directs.Inc()
 	}
 	m.mx.treeDepth.Set(int64(depth))
 
 	var wg sync.WaitGroup
-	wg.Add(len(items))
-	for i, it := range items {
-		f := &Frame{
-			Kind: KindData, Gen: gen, Key: uint64(i + 1), TC: tc,
-			Route: plan.Routes[it.Dst], Tag: tag, Body: it.Payload,
-		}
+	var closed atomic.Bool
+	wg.Add(len(frames))
+	for _, f := range frames {
 		go func() {
 			defer wg.Done()
-			m.sendReliable(f.Route[0], f)
+			if !m.sendReliable(f.Route[0], f) {
+				closed.Store(true)
+			}
 		}()
 	}
 	wg.Wait()
+	if closed.Load() {
+		return ErrClosed
+	}
+	return nil
 }
 
 // sendReliable transmits f over the (self, dst) link and blocks until the
@@ -300,10 +390,10 @@ func (m *Mesh) sendReliable(dst int, f *Frame) bool {
 	ack := make(chan struct{})
 	aw := m.ackWait[lk]
 	if aw == nil {
-		aw = map[uint64]chan struct{}{}
+		aw = map[uint64]ackWaiter{}
 		m.ackWait[lk] = aw
 	}
-	aw[f.Seq] = ack
+	aw[f.Seq] = ackWaiter{gen: f.Gen, ch: ack}
 	m.mu.Unlock()
 
 	m.mx.sends.Inc()
@@ -472,14 +562,16 @@ func (m *Mesh) handleData(f *Frame) {
 	}()
 }
 
-// handleAck completes the sender's wait for (reverse link, seq).
+// handleAck completes the sender's wait for (reverse link, seq) when the
+// ack echoes the waiting send's generation; a stale-generation ack is
+// dropped.
 func (m *Mesh) handleAck(f *Frame) {
 	lk := meshLink{src: m.self, dst: f.Src}
 	m.mu.Lock()
 	var ack chan struct{}
-	if aw := m.ackWait[lk]; aw != nil {
-		ack = aw[f.Seq]
-		delete(aw, f.Seq)
+	if w, ok := m.ackWait[lk][f.Seq]; ok && w.gen == f.Gen {
+		ack = w.ch
+		delete(m.ackWait[lk], f.Seq)
 	}
 	m.mu.Unlock()
 	if ack != nil {
@@ -488,10 +580,12 @@ func (m *Mesh) handleAck(f *Frame) {
 }
 
 // Probe sends one heartbeat ping to dst and reports whether a pong arrived
-// within maxAttempts transmissions (the xport.Transport.Probe contract,
-// with real RTT: each success lands in wire_ping_rtt_ns). Probes go direct
-// rather than through the tree — on sockets the question is "does the peer
-// answer", not "does the route relay".
+// within maxAttempts transmissions, each waiting its RetransmitPolicy
+// timeout; a success's round trip lands in wire_ping_rtt_ns. Probes go
+// direct rather than through the tree — the question is "does the peer
+// answer", not "does the route relay" — and a node marked dead stays
+// probeable, which is how a comeback is detected. Probes to one peer must
+// not overlap (the failure detector probes sequentially).
 func (m *Mesh) Probe(dst int, maxAttempts int) bool {
 	if dst == m.self || dst < 0 || dst >= m.nodes {
 		return false

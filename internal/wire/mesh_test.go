@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"indexlaunch/internal/domain"
-	"indexlaunch/internal/xport"
 )
 
 // sink collects deliveries for one mesh node.
@@ -221,7 +220,7 @@ func TestMeshRetransmitsUntilAcked(t *testing.T) {
 	drop := &firstDropFabric{inner: hub.Fabric(0)}
 	s1 := newSink()
 	m0, err := NewMesh(MeshConfig{Self: 0, Nodes: 2, Fabric: drop,
-		Retransmit: xport.RetransmitPolicy{Timeout: 2 * time.Millisecond, MaxBackoff: 8 * time.Millisecond}})
+		Retransmit: RetransmitPolicy{Timeout: 2 * time.Millisecond, MaxBackoff: 8 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,5 +288,105 @@ func TestMeshPeersSorted(t *testing.T) {
 		if p.Node != want[i] {
 			t.Fatalf("peer order %v", peers)
 		}
+	}
+}
+
+// A delayed ack from before a Recycle must not complete a newer send that
+// reuses its sequence number: acks are fenced by delivery generation.
+func TestMeshStaleGenerationAckIgnored(t *testing.T) {
+	hub := NewHub()
+	// The first transmission of seq 0 is lost and the retransmit timer is
+	// an hour away, so only hand-delivered acks can complete the send.
+	lossy := &firstDropFabric{inner: hub.Fabric(0)}
+	m0, err := NewMesh(MeshConfig{Self: 0, Nodes: 2, Fabric: lossy,
+		Retransmit: RetransmitPolicy{Timeout: time.Hour, MaxBackoff: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m0.Close()
+	m1, err := NewMesh(MeshConfig{Self: 1, Nodes: 2, Fabric: hub.Fabric(1), Deliver: newSink().deliver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m1.Close()
+
+	m0.Recycle() // generation 2: sequence numbers restart at 0
+	done := make(chan error, 1)
+	go func() { done <- m0.Broadcast("new", []Item{{Dst: 1, Payload: []byte("x")}}) }()
+	waiting := func() bool {
+		m0.mu.Lock()
+		defer m0.mu.Unlock()
+		_, ok := m0.ackWait[meshLink{src: 0, dst: 1}][0]
+		return ok
+	}
+	for deadline := time.Now().Add(5 * time.Second); !waiting(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("seq-0 send never started waiting for its ack")
+		}
+	}
+
+	m0.handleFrame(&Frame{Kind: KindAck, Src: 1, Dst: 0, Seq: 0, Gen: 1})
+	select {
+	case err := <-done:
+		t.Fatalf("a generation-1 ack completed the generation-2 send (err %v)", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if !waiting() {
+		t.Fatal("stale ack consumed the waiting send's ack slot")
+	}
+
+	m0.handleFrame(&Frame{Kind: KindAck, Src: 1, Dst: 0, Seq: 0, Gen: 2})
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the matching-generation ack did not complete the send")
+	}
+}
+
+// A payload too large for one frame fails the broadcast up front instead of
+// being rejected by the receiver and retransmitted forever.
+func TestMeshBroadcastRejectsOversizeFrame(t *testing.T) {
+	meshes, sinks := loopbackMesh(t, 3)
+	items := []Item{
+		{Dst: 1, Payload: []byte("fits")},
+		{Dst: 2, Payload: make([]byte, MaxFrameSize)},
+	}
+	done := make(chan error, 1)
+	go func() { done <- meshes[0].Broadcast("big", items) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("oversize broadcast returned %v, want ErrTooLarge", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("oversize broadcast hung")
+	}
+	if sinks[1].count("big")+sinks[2].count("big") != 0 {
+		t.Fatal("a failed broadcast delivered items")
+	}
+	if st := meshes[0].Stats(); st.Sends != 0 {
+		t.Fatalf("a failed broadcast sent %d frames", st.Sends)
+	}
+}
+
+// Recycle resets send state only: a recycled receiver still recognizes a
+// late copy of an old-generation frame it already delivered.
+func TestMeshRecycledReceiverStillDedupsLateCopy(t *testing.T) {
+	meshes, sinks := loopbackMesh(t, 2)
+	mustBroadcast(t, meshes[0], "old", []Item{{Dst: 1, Payload: []byte("x")}})
+	for _, m := range meshes {
+		m.Recycle()
+	}
+	late := &Frame{Kind: KindData, Src: 0, Dst: 1, Seq: 0, Gen: 1, Key: 1, Route: []int{1}, Tag: "old", Body: []byte("x")}
+	meshes[1].handleFrame(late)
+	if got := sinks[1].count("old"); got != 1 {
+		t.Fatalf("late copy delivered again after Recycle: %d deliveries", got)
+	}
+	mustBroadcast(t, meshes[0], "new", []Item{{Dst: 1, Payload: []byte("y")}})
+	if got := sinks[1].count("new"); got != 1 {
+		t.Fatalf("new-generation broadcast delivered %d times, want 1", got)
 	}
 }

@@ -7,20 +7,21 @@ import (
 	"indexlaunch/internal/metrics"
 )
 
-// Wire metrics: the wire_* families. Aggregates mirror the xport_* families
-// (sends, retransmits, dedups) so cluster-mode dashboards read the same
-// shapes, and each peer gets bytes/msgs/reconnect counters (label
-// peer="<node id>") resolved once and cached, keeping the frame path free
-// of label formatting. The histograms time the codec and the ping round
-// trip — serialization cost and socket RTT, the two numbers the in-process
-// transport could never show.
+// Mesh metrics. The delivery aggregates use the shared xport_* names from
+// internal/metrics, so a mesh given the runtime's registry shares the
+// runtime's counters — rt.Stats reads them straight from the registry, in
+// process and in cluster mode alike. The wire_* families cover what only
+// the mesh knows: acks, remote executions, codec rejects, and per-peer
+// bytes/msgs/reconnect counters (label peer="<node id>") resolved once and
+// cached, keeping the frame path free of label formatting. The histograms
+// time the codec and the ping round trip.
 
 type wireMetrics struct {
-	sends, retransmits, acks, dedups *metrics.Counter
-	reparents, directs               *metrics.Counter
-	execs, execErrs                  *metrics.Counter
-	badFrames                        *metrics.Counter
-	treeDepth                        *metrics.Gauge
+	sends, retransmits, drops, dedups *metrics.Counter
+	reparents, directs, acks          *metrics.Counter
+	execs, execErrs                   *metrics.Counter
+	badFrames                         *metrics.Counter
+	treeDepth                         *metrics.Gauge
 
 	encodeNS, decodeNS, pingRTT *metrics.Histogram
 
@@ -42,16 +43,17 @@ func newWireMetrics(reg *metrics.Registry) *wireMetrics {
 		reg = metrics.NewRegistry()
 	}
 	return &wireMetrics{
-		sends:       reg.Counter("wire_sends_total", "hop-level frame first transmissions"),
-		retransmits: reg.Counter("wire_retransmits_total", "ack-timeout-driven frame re-sends"),
+		sends:       reg.Counter(metrics.NameXportSends, "hop-level message first transmissions"),
+		retransmits: reg.Counter(metrics.NameXportRetransmits, "ack-timeout-driven hop re-sends"),
+		drops:       reg.Counter(metrics.NameXportDrops, "transmissions (data and acks) lost to chaos"),
+		dedups:      reg.Counter(metrics.NameXportDedups, "received duplicates suppressed by sequence numbers"),
+		reparents:   reg.Counter(metrics.NameXportReparents, "broadcast-tree orphan adoptions"),
+		directs:     reg.Counter(metrics.NameXportDirectBroadcasts, "broadcasts that abandoned a degraded tree for direct sends"),
+		treeDepth:   reg.Gauge(metrics.NameXportTreeDepth, "fan-out depth (max hops) of the last planned broadcast"),
 		acks:        reg.Counter("wire_acks_total", "effective acks received"),
-		dedups:      reg.Counter("wire_dedups_total", "received duplicate frames suppressed by sequence numbers"),
-		reparents:   reg.Counter("wire_reparents_total", "broadcast-tree orphan adoptions"),
-		directs:     reg.Counter("wire_direct_broadcasts_total", "broadcasts that abandoned a degraded tree for direct sends"),
 		execs:       reg.Counter("wire_execs_total", "remote task executions requested"),
 		execErrs:    reg.Counter("wire_exec_errors_total", "remote executions that failed (transport or task error)"),
 		badFrames:   reg.Counter("wire_bad_frames_total", "inbound frames rejected by the codec (corrupt, torn, wrong version)"),
-		treeDepth:   reg.Gauge("wire_tree_depth", "fan-out depth (max hops) of the last planned broadcast"),
 
 		encodeNS: reg.Histogram("wire_encode_ns", "frame encode latency"),
 		decodeNS: reg.Histogram("wire_decode_ns", "frame decode latency"),

@@ -7,13 +7,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"indexlaunch/internal/xport"
 )
 
 // Proxy is the socket-level chaos injector: a TCP forwarder that decodes
-// frames off the stream and applies an xport.ChaosPlan's pure per-frame
-// decisions to real traffic. Place one in front of an idxnode listener and
+// frames off the stream and applies a ChaosPlan's pure per-frame decisions
+// to real traffic. Place one in front of an idxnode listener and
 // the mesh's retransmission/re-parenting machinery is exercised by genuine
 // loss between processes:
 //
@@ -21,14 +19,14 @@ import (
 //	          fires and the hop retransmits
 //	delay     forwarding pauses, preserving order (TCP semantics) but
 //	          stretching the hop's latency into retransmission territory
-//	partition FrameCut windows on the directed pair's lifetime frame
-//	          count, so a partition starves data AND probe traffic between
-//	          the pair for a bounded frame window, then heals — exactly
-//	          the in-process cut semantics
+//	partition windows run on the directed pair's lifetime frame count,
+//	          so a partition starves data AND probe traffic between the
+//	          pair for a bounded frame window, then heals
 //
-// The proxy cannot see the sender's attempt counter (that is private to
-// the mesh), so it feeds the pair's lifetime frame count as the decision's
-// attempt salt: every retransmission presents a fresh identity and rolls a
+// Unlike the in-process Chaos decorator, the proxy sees one byte stream per
+// pair: it keeps no per-class clocks and cannot tell which transmission of
+// a sequence number it is looking at, so it feeds the pair's lifetime frame
+// count as the decision's attempt salt: every retransmission presents a fresh identity and rolls a
 // fresh fate, preserving the eventual-delivery guarantee Drop < 1 promises.
 //
 // Handshake frames are subject to the plan like everything else — a
@@ -37,23 +35,23 @@ import (
 type Proxy struct {
 	ln      net.Listener
 	target  string
-	plan    *xport.ChaosPlan
+	plan    *ChaosPlan
 	dropped atomic.Int64
 
 	mu    sync.Mutex
-	count map[[2]int]int64
+	count map[meshLink]int64
 	done  chan struct{}
 }
 
 // NewProxy listens on listen and forwards framed traffic to target,
 // applying plan to every frame in both directions. A nil plan forwards
 // faithfully.
-func NewProxy(listen, target string, plan *xport.ChaosPlan) (*Proxy, error) {
+func NewProxy(listen, target string, plan *ChaosPlan) (*Proxy, error) {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return nil, err
 	}
-	p := &Proxy{ln: ln, target: target, plan: plan, count: map[[2]int]int64{}, done: make(chan struct{})}
+	p := &Proxy{ln: ln, target: target, plan: plan, count: map[meshLink]int64{}, done: make(chan struct{})}
 	go p.acceptLoop()
 	return p, nil
 }
@@ -110,13 +108,14 @@ func (p *Proxy) pump(dst io.Writer, src *bufio.Reader) {
 		if err != nil {
 			return
 		}
-		n := p.bump(f.Src, f.Dst)
+		lk := meshLink{src: f.Src, dst: f.Dst}
+		n := p.bump(lk)
 		attempt := int(n%1021) + 1
-		if p.plan.FrameCut(f.Src, f.Dst, n) || p.plan.FrameDrop(f.Src, f.Dst, f.Seq, attempt) {
+		if p.plan.cut(lk, n) || p.plan.lost(saltDrop, lk, f.Seq, attempt) {
 			p.dropped.Add(1)
 			continue
 		}
-		if d := p.plan.FrameDelay(f.Src, f.Dst, f.Seq, attempt); d > 0 {
+		if d := p.plan.delay(lk, f.Seq, attempt); d > 0 {
 			select {
 			case <-time.After(d):
 			case <-p.done:
@@ -131,11 +130,10 @@ func (p *Proxy) pump(dst io.Writer, src *bufio.Reader) {
 
 // bump advances the directed pair's lifetime frame counter — the clock
 // partition windows run on — and returns its pre-increment value.
-func (p *Proxy) bump(src, dst int) int64 {
-	k := [2]int{src, dst}
+func (p *Proxy) bump(lk meshLink) int64 {
 	p.mu.Lock()
-	n := p.count[k]
-	p.count[k] = n + 1
+	n := p.count[lk]
+	p.count[lk] = n + 1
 	p.mu.Unlock()
 	return n
 }

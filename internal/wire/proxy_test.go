@@ -6,12 +6,11 @@ import (
 	"time"
 
 	"indexlaunch/internal/domain"
-	"indexlaunch/internal/xport"
 )
 
 // proxiedPair builds a 2-node TCP mesh where node 0 reaches node 1 only
 // through a chaos proxy running plan.
-func proxiedPair(t *testing.T, plan *xport.ChaosPlan) ([]*Mesh, *sink, *Proxy) {
+func proxiedPair(t *testing.T, plan *ChaosPlan) ([]*Mesh, *sink, *Proxy) {
 	t.Helper()
 	// Short handshake timeout: the plan drops Hello/Welcome frames too, and
 	// an abandoned handshake must cost milliseconds, not the 5s default.
@@ -32,7 +31,7 @@ func proxiedPair(t *testing.T, plan *xport.ChaosPlan) ([]*Mesh, *sink, *Proxy) {
 		t.Fatal(err)
 	}
 
-	rp := xport.RetransmitPolicy{Timeout: 15 * time.Millisecond, MaxBackoff: 120 * time.Millisecond}
+	rp := RetransmitPolicy{Timeout: 15 * time.Millisecond, MaxBackoff: 120 * time.Millisecond}
 	s := newSink()
 	m0, err := NewMesh(MeshConfig{Self: 0, Nodes: 2, Fabric: launcher, Retransmit: rp, ExecTimeout: 20 * time.Second})
 	if err != nil {
@@ -76,7 +75,7 @@ func TestProxyForwardsFaithfullyWithNilPlan(t *testing.T) {
 // mid-run; retransmission rides it out and delivery still completes exactly
 // once.
 func TestProxyPartitionSurvivedByRetransmit(t *testing.T) {
-	plan := &xport.ChaosPlan{Partitions: []xport.Partition{
+	plan := &ChaosPlan{Partitions: []Partition{
 		// Let the handshake and a little traffic through, then cut the next
 		// 20 frames in each direction.
 		{A: 0, B: 1, AfterSends: 4, Sends: 20},
@@ -107,7 +106,7 @@ func TestProxyPartitionSurvivedByRetransmit(t *testing.T) {
 }
 
 func TestProxyRandomDropSurvivedByRetransmit(t *testing.T) {
-	plan := &xport.ChaosPlan{Seed: 42, Drop: 0.3}
+	plan := &ChaosPlan{Seed: 42, Drop: 0.3}
 	meshes, s, proxy := proxiedPair(t, plan)
 
 	done := make(chan struct{})
@@ -133,7 +132,7 @@ func TestProxyRandomDropSurvivedByRetransmit(t *testing.T) {
 }
 
 func TestProxyExecThroughChaos(t *testing.T) {
-	plan := &xport.ChaosPlan{Seed: 7, Drop: 0.25, DelayMax: 2 * time.Millisecond}
+	plan := &ChaosPlan{Seed: 7, Drop: 0.25, DelayMax: 2 * time.Millisecond}
 	meshes, _, _ := proxiedPair(t, plan)
 	for i := int64(0); i < 5; i++ {
 		val, err := meshes[0].Exec(1, "job", domain.Pt1(i), nil)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"indexlaunch/internal/domain"
-	"indexlaunch/internal/xport"
 )
 
 // tcpCluster builds an n-node mesh over real localhost sockets. Node 0 gets
@@ -32,7 +31,7 @@ func tcpCluster(t *testing.T, n int) ([]*Mesh, []*sink, []*TCPFabric) {
 
 	meshes := make([]*Mesh, n)
 	sinks := make([]*sink, n)
-	rp := xport.RetransmitPolicy{Timeout: 20 * time.Millisecond, MaxBackoff: 160 * time.Millisecond}
+	rp := RetransmitPolicy{Timeout: 20 * time.Millisecond, MaxBackoff: 160 * time.Millisecond}
 	for i := 0; i < n; i++ {
 		sinks[i] = newSink()
 		m, err := NewMesh(MeshConfig{

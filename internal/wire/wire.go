@@ -1,7 +1,7 @@
-// Package wire takes the index-launch transport out of the process: a
-// length-prefixed binary codec plus a peer mesh that moves the same
-// broadcast-tree traffic internal/xport models in-process over real
-// connections.
+// Package wire is the index-launch runtime's message transport: a
+// length-prefixed binary codec plus a peer mesh that moves the centralized
+// pipeline's broadcast-tree traffic between nodes — over an in-memory hub
+// within one process, or over real connections between processes.
 //
 // The package splits into three layers:
 //
@@ -14,29 +14,29 @@
 //   - fabric: how encoded frames reach a peer. The Loopback fabric is a
 //     deterministic in-memory hub — frames are encoded, decoded and handed
 //     to the destination synchronously in the sender's goroutine, so a
-//     loopback mesh is as reproducible as the channel transport and every
-//     frame still round-trips the codec. The TCP fabric is the real thing:
+//     loopback mesh is reproducible and every frame still round-trips the
+//     codec. The TCP fabric is the real thing:
 //     one listener per process, per-peer dialers with capped-backoff
 //     reconnect, a handshake exchanging node ID + serving epoch + the peer
 //     address table, and write-coalescing send loops (frames queued while a
 //     write was in flight flush in one syscall).
 //
-//   - mesh.go: Mesh, the delivery contract xport.Transport implements
-//     in-process, over a fabric. Broadcasts route through the identical
-//     binary tree (xport.PlanRoutes — re-parenting and the direct-send
-//     degradation are byte-for-byte the same decisions), every hop is
-//     covered by ack/timeout retransmission with the shared
-//     RetransmitPolicy ladder, receivers dedup by per-link sequence, and
-//     heartbeat probes become real Ping/Pong round trips whose RTT lands in
-//     a wire_ping_rtt_ns histogram. Exec/Result frames let node 0 run a
+//   - mesh.go: Mesh, the reliable-delivery engine. Broadcasts route
+//     through the binary tree (tree.go — re-parenting around dead relays,
+//     direct sends once the tree is too degraded), every hop is covered by
+//     ack/timeout retransmission on the RetransmitPolicy ladder, receivers
+//     dedup by per-link sequence, acks are fenced by delivery generation,
+//     and heartbeat probes are Ping/Pong round trips whose RTT lands in a
+//     wire_ping_rtt_ns histogram. Exec/Result frames let node 0 run a
 //     registered task body on a remote peer — the primitive cmd/idxnode
 //     serves.
 //
-// Chaos against sockets does not re-enter the mesh: a socket-level Proxy
-// (proxy.go) decodes frames off a real TCP stream and applies an
-// xport.ChaosPlan's pure per-frame decisions — drop, delay, partition
-// windows — so the retransmission and re-parenting machinery is exercised
-// by genuine loss between processes.
+// Chaos never enters the mesh: a ChaosPlan's pure per-frame decisions —
+// drop, delay, duplicate, reorder, partition windows — are applied by a
+// fabric-level carrier. The Chaos decorator (chaos.go) wraps the ports of
+// a loopback hub; the socket-level Proxy (proxy.go) decodes frames off a
+// real TCP stream. Either way the retransmission and re-parenting
+// machinery is exercised by genuine loss.
 package wire
 
 import (
@@ -110,7 +110,7 @@ type Frame struct {
 	Seq   uint64
 	Gen   uint64
 	// Key disambiguates the items of one broadcast so every hop of every
-	// item derives a distinct span (the same itemKey scheme xport uses).
+	// item derives a distinct span.
 	Key uint64
 	// TC is the broadcast's span context; zero when untraced.
 	TC obs.TraceRef
@@ -123,15 +123,15 @@ type Frame struct {
 	Body []byte
 }
 
-// hopTC derives the span context for this frame's current hop — the same
-// pure (header, link) function xport's messages use, so loopback and TCP
-// runs of one traced job stamp identical transport spans.
+// hopTC derives the span context for this frame's current hop — a pure
+// function of (header, link), so sender and receiver agree on the hop span
+// without coordination, and loopback and TCP runs of one traced job stamp
+// identical transport spans.
 func (f *Frame) hopTC() obs.TraceRef {
 	return f.TC.Child(f.Key<<16 | uint64(f.Dst) + 1)
 }
 
-// Item is one broadcast payload addressed to a destination node, the
-// []byte analog of xport.Item.
+// Item is one broadcast payload addressed to a destination node.
 type Item struct {
 	Dst     int
 	Payload []byte
