@@ -12,6 +12,7 @@ package repro
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -153,29 +154,16 @@ func BenchmarkAblationCrossCheckLinearVsPairwise(b *testing.B) {
 	})
 }
 
-// BenchmarkSchedTrace times the multi-tenant scheduler's virtual-time
-// driver over a seeded 2000-job trace per discipline — the deterministic
-// workload BENCH_sched.json snapshots (idxserve -bench -json).
+// BenchmarkSchedTrace times sched.RunTrace, the multi-tenant scheduler's
+// virtual-time replay, on the workload BENCH_sched.json gates: each
+// discipline × seed case of schedCases, with its tenant weights and
+// admission.
 func BenchmarkSchedTrace(b *testing.B) {
-	weights := map[string]int{"a": 1, "b": 2, "c": 4}
-	disciplines := []struct {
-		name string
-		mk   func() sched.Queue
-	}{
-		{"fifo", sched.NewFIFO},
-		{"priority", sched.NewStrictPriority},
-		{"fair", func() sched.Queue { return sched.NewWeightedFair(1, weights, 1) }},
-	}
-	tr := sched.GenTrace(42, sched.TraceOptions{
-		Jobs: 2000, MaxPriority: 3, MaxInterArrival: 1, MaxCost: 3,
-		MinService: 1, MaxService: 6,
-	})
-	for _, d := range disciplines {
-		b.Run(d.name, func(b *testing.B) {
+	for _, c := range schedCases() {
+		b.Run(strings.TrimPrefix(c.name, "sched/"), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := sched.RunTrace(tr, sched.TraceConfig{Executors: 4, Queue: d.mk()})
-				if res.Makespan == 0 {
+				if res := sched.RunTrace(c.trace, c.config()); res.Makespan == 0 {
 					b.Fatal("empty scheduler run")
 				}
 			}

@@ -6,22 +6,20 @@
 //	idxbench -table 2                # one table
 //	idxbench -iters 30               # longer simulated runs
 //	idxbench -max-nodes 128          # cap the node sweep (faster)
-//	idxbench -fig 5 -json out        # also write out/BENCH_fig5.json
 //	idxbench -metrics 127.0.0.1:8080 # serve live /metrics while running
 //	idxbench -fig 5 -heartbeat 2e-4  # self-healing detector overhead on a sweep
 //
-// The BENCH_<fig>.json snapshots feed the `idxprof diff` regression gate:
-// run the same figure twice and diff the two files to see which series
-// points moved beyond a threshold.
+// The simulator is deterministic: the same flags print the same numbers on
+// every run. The Figure 5 sweep at -iters 3 -max-nodes 16 is committed as
+// BENCH_fig5.json and gated exactly by the repository's golden test
+// (TestBenchSnapshotsReproduce).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"time"
 
 	"indexlaunch/internal/bench"
 	"indexlaunch/internal/metrics"
@@ -35,7 +33,6 @@ func main() {
 	iters := flag.Int("iters", 0, "simulated timesteps per data point (0 = default)")
 	maxNodes := flag.Int("max-nodes", 0, "cap the node sweep (0 = paper's range)")
 	profile := flag.String("profile", "", "with -fig: also profile the figure's DCR+IDX configuration and write a Chrome trace (view with idxprof)")
-	jsonDir := flag.String("json", "", "write machine-readable BENCH_<fig>.json snapshots into this directory (compare runs with: idxprof diff)")
 	metricsAddr := flag.String("metrics", "", "serve live /metrics, /metrics.json and /statusz on this address while figures run (watch with: idxprof watch)")
 	heartbeat := flag.Float64("heartbeat", 0, "enable the self-healing failure detector in every simulation at this heartbeat period in simulated seconds (0 = off)")
 	speculate := flag.Float64("speculate", 0, "enable straggler speculation in every simulation at this latency quantile (0 = off)")
@@ -60,24 +57,6 @@ func main() {
 		opts.Metrics = reg
 		fmt.Printf("metrics: serving %s/metrics (watch with: idxprof watch %s)\n", srv.URL(), srv.Addr())
 	}
-	writeSnap := func(f bench.Figure) {
-		if *jsonDir == "" {
-			return
-		}
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "idxbench: %v\n", err)
-			os.Exit(1)
-		}
-		snap := bench.BenchFromFigure(f)
-		snap.CreatedUnix = time.Now().Unix()
-		path := filepath.Join(*jsonDir, "BENCH_"+snap.Name+".json")
-		if err := snap.WriteFile(path); err != nil {
-			fmt.Fprintf(os.Stderr, "idxbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench: wrote %s (%d values); compare runs with: idxprof diff\n", path, len(snap.Values))
-	}
-
 	figures := bench.Figures()
 	tables := bench.Tables()
 
@@ -90,7 +69,6 @@ func main() {
 		}
 		f := gen(opts)
 		fmt.Print(render(f))
-		writeSnap(f)
 		if *profile != "" {
 			p, err := bench.ProfileFigure(*fig, opts)
 			if err != nil {
@@ -123,7 +101,6 @@ func main() {
 		for _, id := range figIDs {
 			f := figures[id](opts)
 			fmt.Print(render(f))
-			writeSnap(f)
 			fmt.Println()
 		}
 		var tabIDs []int
@@ -138,7 +115,6 @@ func main() {
 		if *extension {
 			f := bench.FigBulkTracing(opts)
 			fmt.Print(render(f))
-			writeSnap(f)
 		}
 	}
 }

@@ -11,14 +11,6 @@
 //	idxprof p.json
 //	idxprof -width 120 -steps 20 p.json
 //
-// Diff mode compares two BENCH_<fig>.json snapshots written by `idxbench
-// -json` and flags values that moved in their worse direction beyond a
-// threshold — the CI bench-regression gate. The exit status is 1 when a
-// regression is found unless -warn is set.
-//
-//	idxprof diff old/BENCH_fig5.json new/BENCH_fig5.json
-//	idxprof diff -threshold 0.10 -warn old.json new.json
-//
 // Watch mode polls a live /metrics.json endpoint (served by a -metrics
 // flag) and prints what changed between polls — a terminal top(1) for the
 // runtime pipeline.
@@ -55,9 +47,6 @@ import (
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
-		case "diff":
-			runDiff(os.Args[2:])
-			return
 		case "watch":
 			runWatch(os.Args[2:])
 			return
@@ -71,7 +60,6 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: idxprof [-width n] [-steps n] profile.json")
-		fmt.Fprintln(os.Stderr, "       idxprof diff [-threshold f] [-warn] [-all] old.json new.json")
 		fmt.Fprintln(os.Stderr, "       idxprof watch [-interval d] [-count n] host:port")
 		fmt.Fprintln(os.Stderr, "       idxprof trace trace.json | <url> | host:port <id>")
 		os.Exit(2)
@@ -144,37 +132,6 @@ func fetchBytes(url string) ([]byte, error) {
 		return nil, fmt.Errorf("GET %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
 	}
 	return body, nil
-}
-
-// runDiff compares two bench snapshots and gates on regressions.
-func runDiff(args []string) {
-	fs := flag.NewFlagSet("idxprof diff", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 0.05, "relative change beyond which a value counts as moved")
-	warn := fs.Bool("warn", false, "report regressions but exit 0 (non-blocking gate)")
-	all := fs.Bool("all", false, "also print values that did not move beyond the threshold")
-	_ = fs.Parse(args)
-	if fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: idxprof diff [-threshold f] [-warn] [-all] old.json new.json")
-		os.Exit(2)
-	}
-	old, err := metrics.ReadBenchFile(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "idxprof: %v\n", err)
-		os.Exit(1)
-	}
-	cur, err := metrics.ReadBenchFile(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "idxprof: %v\n", err)
-		os.Exit(1)
-	}
-	deltas := metrics.BenchDiff(old, cur, *threshold)
-	fmt.Print(metrics.RenderBenchDiff(old, cur, deltas, !*all))
-	if n := metrics.Regressions(deltas); n > 0 {
-		fmt.Printf("%d regression(s) beyond %.1f%%\n", n, *threshold*100)
-		if !*warn {
-			os.Exit(1)
-		}
-	}
 }
 
 // runWatch polls a live /metrics.json endpoint and prints per-interval

@@ -16,10 +16,9 @@
 //	curl -s localhost:8080/trace          # retained-trace summaries
 //	curl -s localhost:8080/trace/3        # job 3's span tree (if retained)
 //
-// Two offline modes share the flag set:
+// One offline mode shares the flag set:
 //
 //	idxserve -trace -seed 42 -jobs 400    # print the deterministic decision log
-//	idxserve -bench -json bench-out       # write BENCH_sched.json
 //
 // The trace mode replays a seeded arrival trace through the policy core on
 // a virtual clock; its output is byte-identical per seed, which is what the
@@ -47,8 +46,6 @@ import (
 	"syscall"
 	"time"
 
-	"indexlaunch/internal/core"
-	"indexlaunch/internal/domain"
 	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/obs"
 	"indexlaunch/internal/rt"
@@ -84,8 +81,6 @@ func main() {
 	traceSeed := flag.Uint64("trace-seed", 1, "serve mode: trace-ID derivation seed")
 
 	traceMode := flag.Bool("trace", false, "replay a seeded trace through the policy core and print the decision log")
-	bench := flag.Bool("bench", false, "run the deterministic scheduler benchmarks")
-	jsonDir := flag.String("json", "", "with -bench: write BENCH_sched.json into this directory")
 	seed := flag.Int64("seed", 42, "with -trace: trace seed")
 	jobs := flag.Int("jobs", 400, "with -trace: trace length")
 	flag.Parse()
@@ -114,75 +109,61 @@ func main() {
 	for tenant, wt := range w {
 		adm.Tenants[tenant] = sched.Quota{Rate: *rate, Burst: *burst, Weight: wt}
 	}
-	mkQueue := func() (sched.Queue, error) {
-		switch *queue {
-		case "fifo":
-			return sched.NewFIFO(), nil
-		case "priority":
-			return sched.NewStrictPriority(), nil
-		case "fair":
-			return sched.NewWeightedFair(1, adm.Weights(), 1), nil
-		default:
-			return nil, fmt.Errorf("unknown -queue %q (want fifo, priority or fair)", *queue)
-		}
+	var q sched.Queue
+	switch *queue {
+	case "fifo":
+		q = sched.NewFIFO()
+	case "priority":
+		q = sched.NewStrictPriority()
+	case "fair":
+		q = sched.NewWeightedFair(1, adm.Weights(), 1)
+	default:
+		fatal(fmt.Errorf("unknown -queue %q (want fifo, priority or fair)", *queue))
 	}
 
-	switch {
-	case *traceMode:
-		q, err := mkQueue()
-		if err != nil {
-			fatal(err)
-		}
+	if *traceMode {
 		if err := runTrace(*seed, *jobs, q, adm, durable); err != nil {
 			fatal(err)
 		}
-	case *bench:
-		if err := runBench(*jsonDir); err != nil {
-			fatal(err)
-		}
-	default:
-		q, err := mkQueue()
+		return
+	}
+	cfg := sched.Config{
+		Executors:  *executors,
+		Runtime:    rt.Config{Nodes: *nodes, ProcsPerNode: *procs, DCR: *dcr, IndexLaunches: true},
+		Setup:      sched.SyntheticSetup,
+		Queue:      q,
+		Admission:  adm,
+		Preemption: *preempt,
+		TickEvery:  *tick,
+		Durable:    durable,
+	}
+	if *traceSample > 0 || *traceDir != "" {
+		// Tracing needs a recorder (spans reach the tracer through its
+		// sink) and a shared registry (the trace_* families must land in
+		// the registry /metrics serves).
+		reg := metrics.NewRegistry()
+		tr, err := trace.New(trace.Config{
+			HeadRate: *traceSample,
+			Dir:      *traceDir,
+			Registry: reg,
+		})
 		if err != nil {
 			fatal(err)
 		}
-		cfg := sched.Config{
-			Executors:  *executors,
-			Runtime:    rt.Config{Nodes: *nodes, ProcsPerNode: *procs, DCR: *dcr, IndexLaunches: true},
-			Setup:      sched.SyntheticSetup,
-			Queue:      q,
-			Admission:  adm,
-			Preemption: *preempt,
-			TickEvery:  *tick,
-			Durable:    durable,
-		}
-		if *traceSample > 0 || *traceDir != "" {
-			// Tracing needs a recorder (spans reach the tracer through its
-			// sink) and a shared registry (the trace_* families must land in
-			// the registry /metrics serves).
-			reg := metrics.NewRegistry()
-			tr, err := trace.New(trace.Config{
-				HeadRate: *traceSample,
-				Dir:      *traceDir,
-				Registry: reg,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Metrics = reg
-			cfg.Profile = obs.NewRecorder("idxserve", *nodes, 4096)
-			cfg.Trace = tr
-			cfg.TraceSeed = *traceSeed
-		}
-		var mesh *wire.Mesh
-		if *cluster != "" {
-			mesh, err = joinCluster(*cluster, &cfg)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		if err := serve(*addr, cfg, mesh); err != nil {
+		cfg.Metrics = reg
+		cfg.Profile = obs.NewRecorder("idxserve", *nodes, 4096)
+		cfg.Trace = tr
+		cfg.TraceSeed = *traceSeed
+	}
+	var mesh *wire.Mesh
+	if *cluster != "" {
+		mesh, err = joinCluster(*cluster, &cfg)
+		if err != nil {
 			fatal(err)
 		}
+	}
+	if err := serve(*addr, cfg, mesh); err != nil {
+		fatal(err)
 	}
 }
 
@@ -341,184 +322,6 @@ func runTrace(seed int64, jobs int, q sched.Queue, adm sched.Admission, durable 
 	for _, t := range tenants {
 		fmt.Printf("# tenant %s: completed %d rejected %d expired %d served-cost %d\n",
 			t, res.Completed[t], res.Rejected[t], res.Expired[t], res.ServedCost[t])
-	}
-	return nil
-}
-
-// runBench derives the scheduler's deterministic benchmark snapshot from
-// virtual-time runs: throughput (higher is better) and p99 queue wait
-// (lower is better) per discipline. Purely a function of the seeds, so CI
-// can diff it against the committed baseline with zero noise.
-func runBench(jsonDir string) error {
-	weights := map[string]int{"a": 1, "b": 2, "c": 4}
-	adm := sched.Admission{
-		MaxQueued: 4096,
-		Tenants: map[string]sched.Quota{
-			"a": {Weight: 1}, "b": {Weight: 2}, "c": {Weight: 4},
-		},
-	}
-	disciplines := []struct {
-		name string
-		mk   func() sched.Queue
-	}{
-		{"fifo", sched.NewFIFO},
-		{"priority", sched.NewStrictPriority},
-		{"fair", func() sched.Queue { return sched.NewWeightedFair(1, weights, 1) }},
-	}
-	snap := metrics.BenchSnapshot{
-		Name:        "sched",
-		CreatedUnix: time.Now().Unix(),
-		Meta: map[string]string{
-			"title": "Scheduler virtual-time throughput and queue waits (seeds 1,7,42)",
-		},
-	}
-	for _, d := range disciplines {
-		for _, seed := range []int64{1, 7, 42} {
-			tr := sched.GenTrace(seed, sched.TraceOptions{
-				Jobs: 2000, MaxPriority: 3, MaxInterArrival: 1, MaxCost: 3,
-				MinService: 1, MaxService: 6,
-			})
-			res := sched.RunTrace(tr, sched.TraceConfig{
-				Executors: 4, Queue: d.mk(), Admission: adm,
-			})
-			prefix := fmt.Sprintf("sched/%s/seed%d", d.name, seed)
-			snap.Values = append(snap.Values,
-				metrics.BenchValue{Name: prefix + "/jobs_per_ktick", Value: res.JobsPerKTick, Better: "higher"},
-				metrics.BenchValue{Name: prefix + "/p99_wait_ticks", Value: float64(res.P99Wait()), Better: "lower"},
-				metrics.BenchValue{Name: prefix + "/makespan_ticks", Value: float64(res.Makespan), Better: "lower"},
-			)
-			fmt.Printf("%-24s %8.2f jobs/ktick  p99 wait %5d  makespan %6d\n",
-				prefix, res.JobsPerKTick, res.P99Wait(), res.Makespan)
-		}
-	}
-	if jsonDir != "" {
-		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-			return err
-		}
-		path := jsonDir + "/BENCH_sched.json"
-		if err := snap.WriteFile(path); err != nil {
-			return err
-		}
-		fmt.Println("wrote", path)
-	}
-	if err := runTraceOverheadBench(jsonDir); err != nil {
-		return err
-	}
-	return runWireBench(jsonDir)
-}
-
-// runTraceOverheadBench measures the end-to-end tracing layer's marginal
-// cost on the runtime's launch pipeline: the same seeded index-launch
-// workload executed with the profiler alone versus profiler + tracing
-// (every span stamped with a derived context and teed into the tail
-// sampler). Wall-clock values, so the CI gate diffs them with -warn — the
-// snapshot documents the overhead trend rather than blocking on scheduler
-// noise.
-func runTraceOverheadBench(jsonDir string) error {
-	const (
-		points = 256
-		rounds = 40
-	)
-	run := func(traced bool) (nsPerTask float64, err error) {
-		// Both modes run with the recorder attached — the profiled pipeline
-		// is the baseline, since span stamping only ever happens on it.
-		// Traced mode adds what the tracing layer adds: every event carries
-		// a derived span context and is teed through the sink into the tail
-		// sampler's buffers.
-		cfg := rt.Config{Nodes: 4, ProcsPerNode: 2, IndexLaunches: true}
-		rec := obs.NewRecorder("bench", 4, 4096)
-		cfg.Profile = rec
-		var tr *trace.Tracer
-		var root obs.TraceRef
-		if traced {
-			tr, err = trace.New(trace.Config{HeadRate: 1, MaxRetained: 4})
-			if err != nil {
-				return 0, err
-			}
-			rec.SetSink(tr.Sink())
-			root = obs.NewTraceRef(42)
-			tr.Begin(root, 1, "bench", 0)
-		}
-		r, err := rt.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		defer r.Shutdown()
-		if err := sched.SyntheticSetup(r); err != nil {
-			return 0, err
-		}
-		id, _ := r.TaskNamed(sched.SyntheticTaskName)
-		if traced {
-			r.SetTraceRef(root.Child(1))
-		}
-		start := time.Now()
-		for round := 0; round < rounds; round++ {
-			launch, err := core.Forall(sched.SyntheticTaskName, id, domain.Range1(0, points-1))
-			if err != nil {
-				return 0, err
-			}
-			if _, err := r.ExecuteIndex(launch); err != nil {
-				return 0, err
-			}
-		}
-		if err := r.FenceErr(); err != nil {
-			return 0, err
-		}
-		elapsed := time.Since(start)
-		if traced {
-			tr.Finish(root, int64(elapsed), trace.Outcome{})
-		}
-		return float64(elapsed.Nanoseconds()) / float64(points*rounds), nil
-	}
-	// One discarded warm-up run, then interleaved off/on pairs taking the
-	// per-mode minimum: warm-up keeps one-time costs (page faults, registry
-	// construction) out of the first measurement, and interleaving keeps
-	// slow drift (frequency scaling, scheduler warm-up) from being charged
-	// to whichever mode ran first.
-	if _, err := run(false); err != nil {
-		return err
-	}
-	var off, on float64
-	for i := 0; i < 5; i++ {
-		o, err := run(false)
-		if err != nil {
-			return err
-		}
-		tr, err := run(true)
-		if err != nil {
-			return err
-		}
-		if i == 0 || o < off {
-			off = o
-		}
-		if i == 0 || tr < on {
-			on = tr
-		}
-	}
-	overhead := 0.0
-	if off > 0 {
-		overhead = (on - off) / off * 100
-	}
-	snap := metrics.BenchSnapshot{
-		Name:        "trace",
-		CreatedUnix: time.Now().Unix(),
-		Meta: map[string]string{
-			"title": "End-to-end tracing overhead on the runtime launch pipeline (wall clock; diff with -warn)",
-		},
-		Values: []metrics.BenchValue{
-			{Name: "trace/off/ns_per_task", Value: off, Better: "lower"},
-			{Name: "trace/on/ns_per_task", Value: on, Better: "lower"},
-			{Name: "trace/overhead_pct", Value: overhead, Better: "lower"},
-		},
-	}
-	fmt.Printf("%-24s %8.0f ns/task off  %8.0f ns/task traced  %+.1f%% overhead\n",
-		"trace/pipeline", off, on, overhead)
-	if jsonDir != "" {
-		path := jsonDir + "/BENCH_trace.json"
-		if err := snap.WriteFile(path); err != nil {
-			return err
-		}
-		fmt.Println("wrote", path)
 	}
 	return nil
 }

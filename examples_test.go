@@ -101,35 +101,6 @@ func TestProfilePipeline(t *testing.T) {
 	}
 }
 
-// TestBenchDiffPipeline exercises the bench-regression gate end to end: two
-// idxbench runs of the same figure write BENCH_fig5.json snapshots, and
-// idxprof diff compares them. The simulator is deterministic, so the second
-// run must show no movement and the gate must pass.
-func TestBenchDiffPipeline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI integration tests; skipped with -short")
-	}
-	dir := t.TempDir()
-	for _, sub := range []string{"a", "b"} {
-		out, err := exec.Command("go", "run", "./cmd/idxbench",
-			"-fig", "5", "-max-nodes", "8", "-iters", "3", "-json", dir+"/"+sub).CombinedOutput()
-		if err != nil {
-			t.Fatalf("idxbench -json: %v\n%s", err, out)
-		}
-		if !strings.Contains(string(out), "BENCH_fig5.json") {
-			t.Fatalf("idxbench did not report the snapshot path:\n%s", out)
-		}
-	}
-	out, err := exec.Command("go", "run", "./cmd/idxprof", "diff",
-		dir+"/a/BENCH_fig5.json", dir+"/b/BENCH_fig5.json").CombinedOutput()
-	if err != nil {
-		t.Fatalf("idxprof diff flagged identical runs: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "no values moved beyond the threshold") {
-		t.Errorf("diff output missing clean verdict:\n%s", out)
-	}
-}
-
 // TestCLIsRun smoke-tests the command-line tools.
 func TestCLIsRun(t *testing.T) {
 	if testing.Short() {
@@ -148,7 +119,6 @@ func TestCLIsRun(t *testing.T) {
 			"-metrics", "127.0.0.1:0"}, "idx_tasks_executed_total"},
 		{"idxserve-trace", []string{"run", "./cmd/idxserve", "-trace", "-seed", "42", "-jobs", "60",
 			"-queue", "fair", "-weights", "a=1,b=2,c=4"}, "# seed 42:"},
-		{"idxserve-bench", []string{"run", "./cmd/idxserve", "-bench"}, "sched/fair/seed42"},
 	}
 	for _, c := range cases {
 		c := c

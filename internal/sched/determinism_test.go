@@ -105,8 +105,11 @@ func head(s string, n int) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestTraceOutcomesDeterministic locks the derived outcome numbers (the
-// BENCH_sched.json inputs) to the log: same seed, same result.
+// TestTraceOutcomesDeterministic checks that the derived outcome numbers
+// (makespan, throughput, p99 wait) are a function of the seed: two runs of
+// the same trace and config agree. The exact values of the committed
+// scheduler suite, a different config, are gated by the repository's
+// golden test TestBenchSnapshotsReproduce.
 func TestTraceOutcomesDeterministic(t *testing.T) {
 	for _, seed := range schedSeeds(t) {
 		tr := GenTrace(seed, TraceOptions{Jobs: 600, MaxInterArrival: 1})

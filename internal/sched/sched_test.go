@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -160,7 +161,10 @@ func TestSchedTenantQuota(t *testing.T) {
 	close(release)
 }
 
+// TestSchedDrain also checks that Shutdown leaves no goroutine behind:
+// executors, the tick loop and the runtimes they built must all exit.
 func TestSchedDrain(t *testing.T) {
+	before := runtime.NumGoroutine()
 	s := MustNew(quietCfg())
 	var done atomic.Int64
 	for i := 0; i < 8; i++ {
@@ -185,6 +189,13 @@ func TestSchedDrain(t *testing.T) {
 		t.Fatalf("submit while draining = %v, want draining rejection", err)
 	}
 	s.Shutdown()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Shutdown, %d before the scheduler", n, before)
+	}
 }
 
 func TestSchedShutdownFailsQueued(t *testing.T) {

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -138,7 +139,22 @@ func TestMeshProbeAndRTT(t *testing.T) {
 	}
 }
 
+// checkGoroutinesExit fails t unless the goroutine count falls back to
+// before within a deadline: once its meshes are closed, nothing a test
+// started may outlive it.
+func checkGoroutinesExit(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Mesh.Close, %d before the meshes", n, before)
+	}
+}
+
 func TestMeshExec(t *testing.T) {
+	before := runtime.NumGoroutine()
 	meshes, _ := loopbackMesh(t, 3)
 	val, err := meshes[0].Exec(2, "square", domain.Pt1(12), nil)
 	if err != nil {
@@ -156,6 +172,10 @@ func TestMeshExec(t *testing.T) {
 	if _, err := meshes[0].Exec(99, "square", domain.Pt1(0), nil); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("got %v, want ErrUnreachable", err)
 	}
+	for _, m := range meshes {
+		_ = m.Close()
+	}
+	checkGoroutinesExit(t, before)
 }
 
 func TestMeshExecConcurrent(t *testing.T) {

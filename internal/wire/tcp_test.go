@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -104,6 +105,7 @@ func TestTCPWorkerLearnsSiblingsFromHandshake(t *testing.T) {
 }
 
 func TestTCPExecAndProbe(t *testing.T) {
+	before := runtime.NumGoroutine()
 	meshes, _, _ := tcpCluster(t, 3)
 	val, err := meshes[0].Exec(2, "remote", domain.Pt1(5), nil)
 	if err != nil {
@@ -115,6 +117,10 @@ func TestTCPExecAndProbe(t *testing.T) {
 	if !meshes[0].Probe(1, 5) {
 		t.Fatal("probe over TCP failed")
 	}
+	for _, m := range meshes {
+		_ = m.Close()
+	}
+	checkGoroutinesExit(t, before)
 }
 
 func TestTCPReconnectAfterConnDrop(t *testing.T) {
