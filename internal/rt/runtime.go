@@ -37,10 +37,12 @@ type Config struct {
 	// Tracing enables capture/replay of dependence analysis between
 	// BeginTrace/EndTrace markers.
 	Tracing bool
-	// BulkTracing switches tracing to launch granularity (the paper's
-	// stated future work): replays keep index launches compact by wiring
-	// launch-level dependencies instead of per-task templates. Requires
-	// Tracing.
+	// BulkTracing switches trace replay to launch granularity (the paper's
+	// stated future work): a replayed launch's edges to earlier launches
+	// are coarsened into one dependence set shared by all its points,
+	// while edges between points of one launch stay point-level. Capture
+	// and the per-op replay validation are those of task-granular tracing.
+	// Requires Tracing.
 	BulkTracing bool
 	// VerifyLaunches runs the hybrid safety analysis on every index launch
 	// at issuance; launches that fail are demoted to sequentially-issued
@@ -201,12 +203,6 @@ type Runtime struct {
 	outstanding []pendingTask
 	trace       *traceState
 	traceStore  map[uint64]*traceTemplate
-	bulk        *bulkState
-	bulkStore   map[uint64]*bulkTemplate
-
-	// Per-launch bulk-trace scratch, valid while issueMu is held.
-	pendingBulkDeps []*Event
-	pendingPointEvs []*Event
 
 	// Fault state, guarded by issueMu: node liveness and the issuance
 	// counter that drives deterministic fault injection.
@@ -317,17 +313,18 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	mx := metrics.NewPipeline(reg)
 	r := &Runtime{
-		cfg:     cfg,
-		mapper:  m,
-		byName:  map[string]core.TaskID{},
-		vm:      newVersionMap(mx.VersionQueries, mx.DepEdges),
-		slots:   make([]chan struct{}, cfg.Nodes),
-		dead:    make([]bool, cfg.Nodes),
-		stop:    make(chan struct{}),
-		reg:     reg,
-		mx:      mx,
-		mxOn:    cfg.Metrics != nil,
-		mxEpoch: time.Now(),
+		cfg:        cfg,
+		mapper:     m,
+		byName:     map[string]core.TaskID{},
+		traceStore: map[uint64]*traceTemplate{},
+		vm:         newVersionMap(mx.VersionQueries, mx.DepEdges),
+		slots:      make([]chan struct{}, cfg.Nodes),
+		dead:       make([]bool, cfg.Nodes),
+		stop:       make(chan struct{}),
+		reg:        reg,
+		mx:         mx,
+		mxOn:       cfg.Metrics != nil,
+		mxEpoch:    time.Now(),
 	}
 	r.hm = newHealthManager(cfg)
 	r.specOn = cfg.Speculate.Enabled() && cfg.Nodes > 1
@@ -614,7 +611,7 @@ func (r *Runtime) ExecuteIndex(l *core.IndexLaunch) (*FutureMap, error) {
 	}
 
 	useIndex := r.cfg.IndexLaunches
-	if useIndex && r.cfg.VerifyLaunches && !r.replaying() && !r.bulkReplaying() {
+	if useIndex && r.cfg.VerifyLaunches && !r.replaying() {
 		var tCheck int64
 		if r.mxOn {
 			tCheck = r.nowNS()
@@ -666,11 +663,6 @@ func (r *Runtime) ExecuteIndex(l *core.IndexLaunch) (*FutureMap, error) {
 		distNS = r.nowNS() - tDist
 	}
 
-	if r.bulkReplaying() {
-		r.pendingBulkDeps = r.bulk.replayLaunchDeps(l.Task, int(l.Parallelism()))
-	}
-	r.pendingPointEvs = r.pendingPointEvs[:0]
-
 	fm := newFutureMap()
 	err = l.Each(func(pt core.PointTask) bool {
 		prs := make([]PhysicalRegion, len(pt.Regions))
@@ -693,39 +685,38 @@ func (r *Runtime) ExecuteIndex(l *core.IndexLaunch) (*FutureMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case r.trace != nil:
-		r.trace.noteLaunch(len(fm.futures))
-	case r.bulkCapturing():
-		r.bulk.captureLaunchDone(l.Task, len(fm.futures))
-	case r.bulkReplaying():
-		r.bulk.replayLaunchDone(r.pendingPointEvs)
-		r.pendingBulkDeps = nil
-	}
 	fm.seal()
-	if timed {
-		// Distribution span: sharding/slicing time aggregated over the
-		// launch; issue span: the residual launch bookkeeping, so the four
-		// issuance-side stages partition the time spent under issueMu.
-		end := r.nowNS()
-		resid := (end - tLaunch) - logicalNS - distNS - r.profPhysNS
-		if resid < 0 {
-			resid = 0
-		}
-		if prof != nil {
-			prof.SpanTC(ltc.Child(tcDistribute), 0, obs.StageDistribute, name, l.Tag, domain.Point{}, tDist, tDist+distNS)
-			prof.SpanTC(ltc, 0, obs.StageIssue, name, l.Tag, domain.Point{}, tLaunch, tLaunch+resid)
-		}
-		if r.mxOn {
-			r.mx.LatDistribute.Observe(distNS)
-			r.mx.LatIssue.Observe(resid)
-		}
-	}
+	r.finishLaunch(len(fm.futures), name, l.Tag, ltc, tLaunch, logicalNS, tDist, distNS)
 	return fm, nil
 }
 
-func (r *Runtime) bulkCapturing() bool { return r.bulk != nil && r.bulk.mode == traceCapturing }
-func (r *Runtime) bulkReplaying() bool { return r.bulk != nil && r.bulk.mode == traceReplaying }
+// finishLaunch is the epilogue of ExecuteIndex and ExecuteSingle: it closes
+// the launch of n ops in an open trace episode and, when timed, emits the
+// distribution span (sharding/slicing time aggregated over the launch) and
+// the issue span (the residual launch bookkeeping, so the four
+// issuance-side stages partition the time spent under issueMu). Caller
+// holds issueMu.
+func (r *Runtime) finishLaunch(n int, name, tag string, ltc obs.TraceRef, tLaunch, logicalNS, tDist, distNS int64) {
+	if r.trace != nil {
+		r.trace.noteLaunch(n)
+	}
+	prof := r.cfg.Profile
+	if prof == nil && !r.mxOn {
+		return
+	}
+	resid := (r.nowNS() - tLaunch) - logicalNS - distNS - r.profPhysNS
+	if resid < 0 {
+		resid = 0
+	}
+	if prof != nil {
+		prof.SpanTC(ltc.Child(tcDistribute), 0, obs.StageDistribute, name, tag, domain.Point{}, tDist, tDist+distNS)
+		prof.SpanTC(ltc, 0, obs.StageIssue, name, tag, domain.Point{}, tLaunch, tLaunch+resid)
+	}
+	if r.mxOn {
+		r.mx.LatDistribute.Observe(distNS)
+		r.mx.LatIssue.Observe(resid)
+	}
+}
 
 // SingleReq is a region requirement of a single-task launch: a concrete
 // region rather than a ⟨partition, functor⟩ pair.
@@ -745,8 +736,7 @@ func (r *Runtime) ExecuteSingle(tag string, task core.TaskID, reqs []SingleReq, 
 	if int(task) >= len(r.tasks) {
 		return nil, fmt.Errorf("rt: single launch %q names unregistered task %d", tag, task)
 	}
-	prof := r.cfg.Profile
-	timed := prof != nil || r.mxOn
+	timed := r.cfg.Profile != nil || r.mxOn
 	name := r.tasks[task].name
 	ltc := r.nextLaunchTC()
 	var tLaunch, distNS int64
@@ -771,35 +761,8 @@ func (r *Runtime) ExecuteSingle(tag string, task core.TaskID, reqs []SingleReq, 
 	if timed {
 		distNS = r.nowNS() - tDist
 	}
-	if r.bulkReplaying() {
-		r.pendingBulkDeps = r.bulk.replayLaunchDeps(task, 1)
-		r.pendingPointEvs = r.pendingPointEvs[:0]
-	}
 	fut := r.issuePoint(task, tag, p, node, prs, args, ltc)
-	switch {
-	case r.trace != nil:
-		r.trace.noteLaunch(1)
-	case r.bulkCapturing():
-		r.bulk.captureLaunchDone(task, 1)
-	case r.bulkReplaying():
-		r.bulk.replayLaunchDone(r.pendingPointEvs)
-		r.pendingBulkDeps = nil
-	}
-	if timed {
-		end := r.nowNS()
-		resid := (end - tLaunch) - distNS - r.profPhysNS
-		if resid < 0 {
-			resid = 0
-		}
-		if prof != nil {
-			prof.SpanTC(ltc.Child(tcDistribute), 0, obs.StageDistribute, name, tag, domain.Point{}, tDist, tDist+distNS)
-			prof.SpanTC(ltc, 0, obs.StageIssue, name, tag, domain.Point{}, tLaunch, tLaunch+resid)
-		}
-		if r.mxOn {
-			r.mx.LatDistribute.Observe(distNS)
-			r.mx.LatIssue.Observe(resid)
-		}
-	}
+	r.finishLaunch(1, name, tag, ltc, tLaunch, 0, tDist, distNS)
 	return fut, nil
 }
 
@@ -855,10 +818,6 @@ func (r *Runtime) issuePoint(task core.TaskID, tag string, p domain.Point, node 
 	case r.replaying():
 		deps = r.trace.replayDeps(task, p, ev)
 		r.mx.AnalysisSkipped.Inc()
-	case r.bulkReplaying():
-		deps = r.pendingBulkDeps
-		r.pendingPointEvs = append(r.pendingPointEvs, ev)
-		r.mx.AnalysisSkipped.Inc()
 	default:
 		var tPhys int64
 		if timed {
@@ -879,12 +838,6 @@ func (r *Runtime) issuePoint(task core.TaskID, tag string, p domain.Point, node 
 		}
 		if r.capturing() {
 			r.trace.recordOp(task, p, ev, deps, prs)
-		}
-		if r.bulkCapturing() {
-			for _, d := range deps {
-				r.bulk.captureDep(d)
-			}
-			r.bulk.capturePoint(ev, prs)
 		}
 		if timed {
 			// Physical stage, attributed to the owning node as in DCR:

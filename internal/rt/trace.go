@@ -22,6 +22,16 @@ import (
 // of a replay the version map is bulk-updated so later un-traced work orders
 // correctly after the trace.
 //
+// Config.BulkTracing selects the replay policy, not a second template: it
+// implements the paper's stated future work, tracing that works with bulk
+// task launches. Capture is the same; on replay, a launch's edges to
+// earlier launches are coarsened into one shared dependence set (the
+// episode boundary plus the merged completions of the depended-on
+// launches), so each launch costs one dependence decision instead of one
+// per point. Edges between points of the same launch stay point-level.
+// The price is precision: point tasks that were independent at point
+// granularity across launches (e.g. halo exchanges) become launch barriers.
+//
 // Replays must issue exactly the ops that were captured (same tasks, same
 // points, same launch boundaries); a divergent replay is a programming
 // error and panics with a diagnostic.
@@ -42,6 +52,7 @@ type traceTemplate struct {
 	id       uint64
 	sigs     []opSig
 	deps     [][]int // intra-trace dependence indices per op
+	opLaunch []int   // index of the launch that issued each op
 	launches []int   // ops consumed per launch call, for replay validation
 	writes   map[fieldKey][]region.Interval
 	reads    map[fieldKey][]region.Interval
@@ -49,6 +60,7 @@ type traceTemplate struct {
 
 type traceState struct {
 	mode traceMode
+	bulk bool // replay policy: coarsen cross-launch edges per launch
 	tmpl *traceTemplate
 
 	// Capture state.
@@ -57,20 +69,15 @@ type traceState struct {
 	// Replay state.
 	cursor       int
 	launchCursor int
+	launchStart  int // op index of the current launch's first op
 	events       []*Event
 	startEv      *Event
+	done         []*Event // bulk: merged completion per replayed launch
+	shared       []*Event // bulk: the current launch's cross-launch deps
 }
 
 func (r *Runtime) replaying() bool { return r.trace != nil && r.trace.mode == traceReplaying }
 func (r *Runtime) capturing() bool { return r.trace != nil && r.trace.mode == traceCapturing }
-
-// traces is lazily allocated on the runtime.
-func (r *Runtime) traceTemplates() map[uint64]*traceTemplate {
-	if r.traceStore == nil {
-		r.traceStore = map[uint64]*traceTemplate{}
-	}
-	return r.traceStore
-}
 
 // BeginTrace starts a trace episode. The first episode with a given id
 // captures; later episodes replay. Traces do not nest. Tracing must be
@@ -81,13 +88,10 @@ func (r *Runtime) BeginTrace(id uint64) error {
 	if !r.cfg.Tracing {
 		return fmt.Errorf("rt: tracing disabled in config")
 	}
-	if r.trace != nil || r.bulk != nil {
+	if r.trace != nil {
 		return fmt.Errorf("rt: trace %d begun inside another trace", id)
 	}
-	if r.cfg.BulkTracing {
-		return r.beginBulkTrace(id)
-	}
-	if tmpl, ok := r.traceTemplates()[id]; ok {
+	if tmpl, ok := r.traceStore[id]; ok {
 		// Replay: order the whole trace after the current last users of
 		// everything it touches.
 		var boundary []*Event
@@ -99,9 +103,13 @@ func (r *Runtime) BeginTrace(id uint64) error {
 		}
 		r.trace = &traceState{
 			mode:    traceReplaying,
+			bulk:    r.cfg.BulkTracing,
 			tmpl:    tmpl,
 			events:  make([]*Event, len(tmpl.sigs)),
 			startEv: Merge(boundary...),
+		}
+		if r.trace.bulk {
+			r.trace.done = make([]*Event, len(tmpl.launches))
 		}
 		return nil
 	}
@@ -117,28 +125,29 @@ func (r *Runtime) BeginTrace(id uint64) error {
 	return nil
 }
 
-// EndTrace finishes the current trace episode.
+// EndTrace finishes the current trace episode. An id that does not match
+// the begun episode is rejected and leaves the episode open.
 func (r *Runtime) EndTrace(id uint64) error {
 	r.issueMu.Lock()
 	defer r.issueMu.Unlock()
-	if r.bulk != nil {
-		return r.endBulkTrace(id)
-	}
 	ts := r.trace
 	if ts == nil {
 		return fmt.Errorf("rt: EndTrace(%d) without BeginTrace", id)
 	}
-	if ts.tmpl.id != 0 && ts.mode == traceReplaying && ts.tmpl.id != id {
+	if ts.tmpl.id != id {
 		return fmt.Errorf("rt: EndTrace(%d) does not match trace %d", id, ts.tmpl.id)
 	}
 	r.trace = nil
+	label := "trace"
+	if r.cfg.BulkTracing {
+		label = "bulk-trace"
+	}
 	switch ts.mode {
 	case traceCapturing:
-		ts.tmpl.id = id
-		r.traceTemplates()[id] = ts.tmpl
+		r.traceStore[id] = ts.tmpl
 		r.mx.TraceCaptures.Inc()
 		if prof := r.cfg.Profile; prof != nil {
-			prof.Mark(0, obs.StageCapture, "trace", "trace", domain.Point{}, prof.Now())
+			prof.Mark(0, obs.StageCapture, label, "trace", domain.Point{}, prof.Now())
 		}
 	case traceReplaying:
 		if ts.cursor != len(ts.tmpl.sigs) {
@@ -154,10 +163,10 @@ func (r *Runtime) EndTrace(id uint64) error {
 		for key, ivs := range ts.tmpl.reads {
 			r.vm.access(key.tree, key.field, ivs, privilege.Read, privilege.OpNone, terminal)
 		}
-		r.outstanding = append(r.outstanding, pendingTask{ev: terminal, name: "trace-replay", tag: "trace"})
+		r.outstanding = append(r.outstanding, pendingTask{ev: terminal, name: label + "-replay", tag: "trace"})
 		r.mx.TraceReplays.Inc()
 		if prof := r.cfg.Profile; prof != nil {
-			prof.Mark(0, obs.StageReplay, "trace", "trace", domain.Point{}, prof.Now())
+			prof.Mark(0, obs.StageReplay, label, "trace", domain.Point{}, prof.Now())
 		}
 	}
 	return nil
@@ -169,6 +178,7 @@ func (ts *traceState) recordOp(task core.TaskID, p domain.Point, ev *Event, deps
 	idx := len(ts.tmpl.sigs)
 	ts.evIdx[ev] = idx
 	ts.tmpl.sigs = append(ts.tmpl.sigs, opSig{task: task, point: p})
+	ts.tmpl.opLaunch = append(ts.tmpl.opLaunch, len(ts.tmpl.launches))
 	// Edges to events from outside the trace are dropped: pre-episode
 	// ordering is reconstructed at replay time from the version map
 	// (startEv), never from the capture run, whose timing-dependent view
@@ -208,16 +218,49 @@ func (ts *traceState) replayDeps(task core.TaskID, p domain.Point, ev *Event) []
 	ts.events[ts.cursor] = ev
 	// Every replayed op waits on the episode boundary in addition to its
 	// intra-trace deps; ops with intra-trace deps reach startEv
-	// transitively, so only the chain roots gain an edge.
+	// transitively, so only the chain roots gain an edge. A capture-time
+	// "had external deps" flag cannot stand in for this: an op that read
+	// fresh data during capture is indistinguishable from a genuinely
+	// independent one, yet at replay time the same read races with
+	// whatever wrote the region since — typically the previous episode.
 	deps := []*Event{ts.startEv}
+	if ts.bulk {
+		if ts.cursor == ts.launchStart {
+			ts.shared = ts.launchDeps()
+		}
+		// Full slice expression: appending the intra-launch edges below
+		// must copy, never write into the set the launch's points share.
+		deps = ts.shared[:len(ts.shared):len(ts.shared)]
+	}
 	for _, j := range ts.tmpl.deps[ts.cursor] {
-		deps = append(deps, ts.events[j])
+		if !ts.bulk || j >= ts.launchStart {
+			deps = append(deps, ts.events[j])
+		}
 	}
 	ts.cursor++
 	return deps
 }
 
-// noteLaunch validates launch boundaries across capture and replay.
+// launchDeps coarsens the cross-launch edges of the launch starting at the
+// cursor into one dependence set: the episode boundary plus the merged
+// completion of every earlier launch any of its points depended on.
+func (ts *traceState) launchDeps() []*Event {
+	deps := []*Event{ts.startEv}
+	seen := map[int]bool{}
+	end := ts.launchStart + ts.tmpl.launches[ts.launchCursor]
+	for _, intra := range ts.tmpl.deps[ts.launchStart:end] {
+		for _, j := range intra {
+			if l := ts.tmpl.opLaunch[j]; j < ts.launchStart && !seen[l] {
+				seen[l] = true
+				deps = append(deps, ts.done[l])
+			}
+		}
+	}
+	return deps
+}
+
+// noteLaunch validates launch boundaries across capture and replay and,
+// under bulk replay, seals the launch's merged completion event.
 func (ts *traceState) noteLaunch(n int) {
 	switch ts.mode {
 	case traceCapturing:
@@ -227,6 +270,10 @@ func (ts *traceState) noteLaunch(n int) {
 			panic(fmt.Sprintf("rt: trace %d replay launch %d has %d ops, diverges from capture",
 				ts.tmpl.id, ts.launchCursor, n))
 		}
+		if ts.bulk {
+			ts.done[ts.launchCursor] = Merge(ts.events[ts.launchStart:ts.cursor]...)
+		}
+		ts.launchStart = ts.cursor
 		ts.launchCursor++
 	}
 }
