@@ -145,30 +145,40 @@ func (l *IndexLaunch) At(p domain.Point) (PointTask, error) {
 		return PointTask{}, fmt.Errorf("core: point %v outside launch domain %v of %q", p, l.Domain, l.Tag)
 	}
 	pt := PointTask{Launch: l, Point: p, Regions: make([]*region.Region, len(l.Requirements))}
+	if err := l.project(p, pt.Regions); err != nil {
+		return PointTask{}, err
+	}
+	return pt, nil
+}
+
+// project writes the sub-collection each requirement selects at p into
+// dst, in requirement order.
+func (l *IndexLaunch) project(p domain.Point, dst []*region.Region) error {
 	for i, r := range l.Requirements {
 		color := r.Functor.Project(p)
 		sub, err := r.Partition.Subregion(color)
 		if err != nil {
-			return PointTask{}, fmt.Errorf("core: launch %q point %v requirement %d: %w", l.Tag, p, i, err)
+			return fmt.Errorf("core: launch %q point %v requirement %d: %w", l.Tag, p, i, err)
 		}
-		pt.Regions[i] = sub
+		dst[i] = sub
 	}
-	return pt, nil
+	return nil
 }
 
 // Each lazily expands the launch, invoking fn for every point task in
 // canonical domain order. Expansion stops at the first error or when fn
 // returns false. This is the only way to enumerate an index launch; there is
-// deliberately no method materializing all point tasks at once.
+// deliberately no method materializing all point tasks at once. The
+// Regions slice of the PointTask passed to fn is reused for the next point:
+// copy it to keep it beyond the call.
 func (l *IndexLaunch) Each(fn func(PointTask) bool) error {
 	var err error
+	regions := make([]*region.Region, len(l.Requirements))
 	l.Domain.Each(func(p domain.Point) bool {
-		var pt PointTask
-		pt, err = l.At(p)
-		if err != nil {
+		if err = l.project(p, regions); err != nil {
 			return false
 		}
-		return fn(pt)
+		return fn(PointTask{Launch: l, Point: p, Regions: regions})
 	})
 	return err
 }

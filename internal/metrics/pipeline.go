@@ -8,12 +8,13 @@ package metrics
 // never increment, so the registered name sets are equal by construction;
 // internal/metrics's parity test locks that in.
 //
-// Naming scheme: `idx_` for the runtime pipeline, `xport_` for the message
-// transport, `_total` suffix on counters, `_ns` on nanosecond histograms.
-// The aggregate `xport_*` counters here are the same families
-// internal/wire's Mesh registers — registration is idempotent, so a mesh
-// sharing the runtime's registry shares the runtime's counters, which is
-// what lets rt.Stats read transport counts with no dual bookkeeping.
+// Naming scheme: `idx_` for the runtime pipeline, `rt_` for runtime
+// invariants, `xport_` for the message transport, `_total` suffix on
+// counters, `_ns` on nanosecond histograms. The aggregate `xport_*`
+// counters here are the same families internal/wire's Mesh registers —
+// registration is idempotent, so a mesh sharing the runtime's registry
+// shares the runtime's counters, which is what lets rt.Stats read
+// transport counts with no dual bookkeeping.
 type Pipeline struct {
 	// Issuance counters, one per rt.Stats field.
 	LaunchCalls   *Counter
@@ -56,10 +57,16 @@ type Pipeline struct {
 	TraceReplays      *Counter
 	AnalysisSkipped   *Counter
 
-	// Live state gauges: tasks issued but not completed, and task bodies
-	// currently occupying a processor slot (the worker queue depth pair).
+	// Live state gauges: tasks issued but not completed, point tasks
+	// queued on a node's ready queue but not yet running, and task bodies
+	// currently occupying a worker.
 	InflightTasks *Gauge
+	ReadyTasks    *Gauge
 	BusyProcs     *Gauge
+
+	// Invariant counter: transport deliveries that matched no in-flight
+	// broadcast slot. The exactly-once contract keeps it at zero.
+	StrayDeliveries *Counter
 
 	// Stage latencies, labeled by pipeline stage; LatIssue..LatExecute are
 	// the pre-resolved per-stage instruments the hot paths record into.
@@ -151,7 +158,10 @@ func NewPipeline(r *Registry) *Pipeline {
 		AnalysisSkipped:   r.Counter("idx_analysis_skipped_total", "point tasks whose analysis was satisfied from a trace template"),
 
 		InflightTasks: r.Gauge("idx_inflight_tasks", "point tasks issued but not yet completed"),
-		BusyProcs:     r.Gauge("idx_busy_procs", "task bodies currently occupying a processor slot"),
+		ReadyTasks:    r.Gauge("idx_ready_tasks", "point tasks queued on a node but not yet running"),
+		BusyProcs:     r.Gauge("idx_busy_procs", "task bodies currently occupying a worker"),
+
+		StrayDeliveries: r.Counter("rt_stray_deliveries_total", "slice deliveries that matched no in-flight broadcast slot"),
 
 		StageLatency: r.HistogramVec("idx_stage_latency_ns", "pipeline stage latency in nanoseconds", "stage"),
 		FenceWait:    r.Histogram("idx_fence_wait_ns", "execution fence wait in nanoseconds"),

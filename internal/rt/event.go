@@ -16,74 +16,128 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // Event is a one-shot completion signal. Events order task execution: each
 // task carries a set of precondition events and triggers its own completion
 // event when it finishes. An event may trigger *poisoned* — carrying the
 // error of the task it represents — so that failures propagate along the
-// same dependence edges as completions. The zero value is not usable;
-// create events with NewEvent or use Completed.
+// same dependence edges as completions. Create events with NewEvent or use
+// Completed.
+//
+// Dependents inside the runtime do not block on an event: they link a
+// depEdge into its waiter list (onTrigger), and the triggering goroutine
+// counts them down. A channel exists only once some caller blocks in Wait.
 type Event struct {
-	ch   chan struct{}
-	once sync.Once
-	// err is written at most once, inside the trigger's once.Do before ch
-	// closes; readers must only load it after observing the close, which
-	// gives the necessary happens-before edge.
-	err error
+	mu   sync.Mutex
+	done atomic.Bool
+	// err is written at most once, under mu before done is set; readers
+	// must only load it after observing done, which gives the necessary
+	// happens-before edge.
+	err     error
+	ch      chan struct{} // made on demand by blocking waiters; closed on trigger
+	waiters *depEdge      // on-trigger hooks, run once by the trigger
 }
 
 // NewEvent returns an untriggered event.
-func NewEvent() *Event { return &Event{ch: make(chan struct{})} }
+func NewEvent() *Event { return &Event{} }
 
 // Completed returns a pre-triggered event; tasks with no preconditions
 // depend on it.
 func Completed() *Event {
 	e := NewEvent()
-	e.Trigger()
+	e.done.Store(true)
 	return e
 }
 
+// closedCh stands in for the wait channel of an already-triggered event.
+var closedCh = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
 // Trigger fires the event. Triggering is idempotent.
-func (e *Event) Trigger() { e.once.Do(func() { close(e.ch) }) }
+func (e *Event) Trigger() { e.fire(nil) }
 
 // Poison fires the event carrying err, marking the work it represents as
 // failed. Dependents observe the error through Err, WaitErr or WaitAllErr.
 // Poisoning an already-triggered event is a no-op; Poison(nil) is Trigger.
-func (e *Event) Poison(err error) {
-	e.once.Do(func() {
-		e.err = err
-		close(e.ch)
-	})
+func (e *Event) Poison(err error) { e.fire(err) }
+
+// fire triggers the event once: it records err, wakes blocked waiters and
+// runs the on-trigger hooks on the calling goroutine.
+func (e *Event) fire(err error) {
+	e.mu.Lock()
+	if e.done.Load() {
+		e.mu.Unlock()
+		return
+	}
+	e.err = err
+	e.done.Store(true)
+	ch, w := e.ch, e.waiters
+	e.waiters = nil
+	e.mu.Unlock()
+	if ch != nil {
+		close(ch)
+	}
+	for w != nil {
+		next := w.next
+		w.next = nil
+		w.to.depTriggered()
+		w = next
+	}
+}
+
+// onTrigger links ed into the event's hook list; ed.to is notified once
+// the event triggers. It reports false, linking nothing, when the event has
+// already triggered.
+func (e *Event) onTrigger(ed *depEdge) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.done.Load() {
+		return false
+	}
+	ed.next = e.waiters
+	e.waiters = ed
+	return true
+}
+
+// doneCh returns a channel that is closed once the event has triggered.
+func (e *Event) doneCh() <-chan struct{} {
+	if e.done.Load() {
+		return closedCh
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.done.Load() {
+		return closedCh
+	}
+	if e.ch == nil {
+		e.ch = make(chan struct{})
+	}
+	return e.ch
 }
 
 // Err returns the poison error if the event has triggered poisoned, and nil
 // if it triggered cleanly or has not triggered yet.
 func (e *Event) Err() error {
-	select {
-	case <-e.ch:
+	if e.done.Load() {
 		return e.err
-	default:
-		return nil
 	}
+	return nil
 }
 
 // Done reports whether the event has triggered without blocking.
-func (e *Event) Done() bool {
-	select {
-	case <-e.ch:
-		return true
-	default:
-		return false
-	}
-}
+func (e *Event) Done() bool { return e.done.Load() }
 
 // Wait blocks until the event triggers.
-func (e *Event) Wait() { <-e.ch }
+func (e *Event) Wait() { <-e.doneCh() }
 
 // WaitErr blocks until the event triggers and returns its poison error.
 func (e *Event) WaitErr() error {
-	<-e.ch
+	<-e.doneCh()
 	return e.err
 }
 
@@ -91,7 +145,7 @@ func (e *Event) WaitErr() error {
 // poison error or the context's error respectively.
 func (e *Event) WaitContext(ctx context.Context) error {
 	select {
-	case <-e.ch:
+	case <-e.doneCh():
 		return e.err
 	case <-ctx.Done():
 		return ctx.Err()
@@ -117,6 +171,71 @@ func WaitAllErr(evs []*Event) error {
 	return errors.Join(errs...)
 }
 
+// depWaiter is notified, through its depEdges, as each event of its
+// dependence set triggers.
+type depWaiter interface{ depTriggered() }
+
+// depEdge is one dependence edge: it links waiter to ev's hook list.
+type depEdge struct {
+	ev   *Event
+	next *depEdge
+	to   depWaiter
+}
+
+// join counts a dependence set down to zero. Its edges are one exact-size
+// allocation and double as the hook-list nodes, so waiting on n events
+// costs no goroutine and no allocation beyond the edges themselves.
+type join struct {
+	pending atomic.Int32
+	deps    []depEdge
+}
+
+// arm links w to every event of evs and reports whether all of them have
+// already triggered. Otherwise the last trigger's depTriggered call sees
+// countDown report true. A guard count keeps triggers that race with arm
+// from reaching zero before every edge is linked.
+func (j *join) arm(evs []*Event, w depWaiter) bool {
+	j.deps = make([]depEdge, len(evs))
+	j.pending.Store(int32(len(evs)) + 1)
+	done := int32(1)
+	for i, e := range evs {
+		j.deps[i] = depEdge{ev: e, to: w}
+		if !e.onTrigger(&j.deps[i]) {
+			done++
+		}
+	}
+	return j.pending.Add(-done) == 0
+}
+
+// countDown accounts one triggered dependence; true means it was the last.
+func (j *join) countDown() bool { return j.pending.Add(-1) == 0 }
+
+// err returns the joined poison errors of the (all triggered) dependence
+// set in edge order, nil if every event triggered cleanly, and releases
+// the edges.
+func (j *join) err() error {
+	var errs []error
+	for i := range j.deps {
+		if err := j.deps[i].ev.Err(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	j.deps = nil
+	return errors.Join(errs...)
+}
+
+// merger is the waiter behind Merge.
+type merger struct {
+	join
+	out *Event
+}
+
+func (m *merger) depTriggered() {
+	if m.countDown() {
+		m.out.Poison(m.err())
+	}
+}
+
 // Merge returns an event that triggers once all inputs have triggered. If
 // any input triggered poisoned, the merged event is poisoned with the
 // joined errors. Merging zero events yields a completed event; merging one
@@ -128,13 +247,9 @@ func Merge(evs ...*Event) *Event {
 	case 1:
 		return evs[0]
 	}
-	out := NewEvent()
-	go func() {
-		if err := WaitAllErr(evs); err != nil {
-			out.Poison(err)
-			return
-		}
-		out.Trigger()
-	}()
-	return out
+	m := &merger{out: NewEvent()}
+	if m.arm(evs, m) {
+		m.out.Poison(m.err())
+	}
+	return m.out
 }

@@ -85,33 +85,51 @@ func EncodeF64(v float64) []byte {
 // FutureMap is the result of an index launch: one future per launch point,
 // in canonical (issuance) point order.
 type FutureMap struct {
-	points  []domain.Point
-	futures map[domain.Point]*Future
-	done    *Event
+	pts  []pointFuture // one slab, canonical point order
+	done *Event
+
+	// index maps a point to its position in pts, built by the first At:
+	// issuance never pays for it.
+	indexOnce sync.Once
+	index     map[domain.Point]int
 }
 
-func newFutureMap() *FutureMap {
-	return &FutureMap{futures: map[domain.Point]*Future{}}
+type pointFuture struct {
+	p domain.Point
+	f Future
 }
 
-func (m *FutureMap) add(p domain.Point, f *Future) {
-	if _, dup := m.futures[p]; !dup {
-		m.points = append(m.points, p)
+// newFutureMap allocates the futures of an n-point launch as one slab and
+// their completion events as another. The slabs are separate because the
+// version map keeps a launch's events as long as they are the last users
+// of some data; the futures, and the payloads they hold, must not live
+// that long.
+func newFutureMap(n int) *FutureMap {
+	m := &FutureMap{pts: make([]pointFuture, n)}
+	evs := make([]Event, n)
+	for i := range m.pts {
+		m.pts[i].f.ev = &evs[i]
 	}
-	m.futures[p] = f
+	return m
 }
 
 // At returns the future for launch point p.
 func (m *FutureMap) At(p domain.Point) (*Future, error) {
-	f, ok := m.futures[p]
+	m.indexOnce.Do(func() {
+		m.index = make(map[domain.Point]int, len(m.pts))
+		for i := range m.pts {
+			m.index[m.pts[i].p] = i
+		}
+	})
+	i, ok := m.index[p]
 	if !ok {
 		return nil, fmt.Errorf("rt: future map has no point %v", p)
 	}
-	return f, nil
+	return &m.pts[i].f, nil
 }
 
 // Len returns the number of point tasks in the map.
-func (m *FutureMap) Len() int { return len(m.points) }
+func (m *FutureMap) Len() int { return len(m.pts) }
 
 // Event returns an event that triggers when every point task completes; it
 // is poisoned if any task failed.
@@ -121,8 +139,8 @@ func (m *FutureMap) Event() *Event { return m.done }
 // encountered (in canonical point order), if any.
 func (m *FutureMap) Wait() error {
 	m.done.Wait()
-	for _, p := range m.points {
-		if _, err := m.futures[p].Get(); err != nil {
+	for i := range m.pts {
+		if _, err := m.pts[i].f.Get(); err != nil {
 			return err
 		}
 	}
@@ -134,8 +152,8 @@ func (m *FutureMap) Wait() error {
 func (m *FutureMap) WaitErr() error {
 	m.done.Wait()
 	var errs []error
-	for _, p := range m.points {
-		if _, err := m.futures[p].Get(); err != nil {
+	for i := range m.pts {
+		if _, err := m.pts[i].f.Get(); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -151,10 +169,10 @@ func (m *FutureMap) WaitTimeout(d time.Duration) error {
 	if err := m.done.WaitContext(ctx); err != nil && !m.done.Done() {
 		unfinished := 0
 		var first domain.Point
-		for _, p := range m.points {
-			if !m.futures[p].ev.Done() {
+		for i := range m.pts {
+			if !m.pts[i].f.ev.Done() {
 				if unfinished == 0 {
-					first = p
+					first = m.pts[i].p
 				}
 				unfinished++
 			}
@@ -174,8 +192,8 @@ func (m *FutureMap) SumF64() (float64, error) {
 		return 0, err
 	}
 	var s float64
-	for _, p := range m.points {
-		v, err := m.futures[p].GetF64()
+	for i := range m.pts {
+		v, err := m.pts[i].f.GetF64()
 		if err != nil {
 			return 0, err
 		}
@@ -185,9 +203,9 @@ func (m *FutureMap) SumF64() (float64, error) {
 }
 
 func (m *FutureMap) seal() {
-	evs := make([]*Event, 0, len(m.points))
-	for _, p := range m.points {
-		evs = append(evs, m.futures[p].ev)
+	evs := make([]*Event, len(m.pts))
+	for i := range m.pts {
+		evs[i] = m.pts[i].f.ev
 	}
 	m.done = Merge(evs...)
 }

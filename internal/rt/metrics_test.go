@@ -16,6 +16,19 @@ import (
 // equal the registry's value for its family, with and without a
 // caller-provided registry.
 
+// registryValue reads an unlabeled counter or gauge from a gathered
+// registry, failing the test when the family is missing.
+func registryValue(t *testing.T, reg *metrics.Registry, name string) int64 {
+	t.Helper()
+	for _, f := range reg.Gather().Families {
+		if f.Name == name && len(f.Series) == 1 && len(f.Series[0].Labels) == 0 {
+			return f.Series[0].Value
+		}
+	}
+	t.Fatalf("registry has no unlabeled family %s", name)
+	return 0
+}
+
 func runMetricsWorkload(t *testing.T, cfg Config) *Runtime {
 	t.Helper()
 	r := MustNew(cfg)

@@ -85,10 +85,7 @@ func TestChaosRecycleBetweenJobsNoStaleDeliveries(t *testing.T) {
 			// reach their receivers (and be deduplicated) before counting.
 			time.Sleep(20 * time.Millisecond)
 			r.Shutdown()
-			r.deliverMu.Lock()
-			strays := r.strays
-			r.deliverMu.Unlock()
-			if strays != 0 {
+			if strays := registryValue(t, r.Metrics(), "rt_stray_deliveries_total"); strays != 0 {
 				t.Errorf("%d deliveries landed outside their broadcast's reassembly", strays)
 			}
 			if st := r.Stats(); st.MsgRetransmits == 0 || st.MsgDedups == 0 {

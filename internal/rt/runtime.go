@@ -195,10 +195,13 @@ type Runtime struct {
 	tasks  []taskEntry
 	byName map[string]core.TaskID
 
-	vm    *versionMap
-	slots []chan struct{} // per-node processor slots
+	vm *versionMap
+	// queues holds each node's ready queue, served by ProcsPerNode
+	// long-lived workers (worker.go).
+	queues []*readyQueue
 
 	issueMu     sync.Mutex
+	deps        depBuf // the issuing point's dependence set, guarded by issueMu
 	reduceMu    sync.Mutex
 	outstanding []pendingTask
 	trace       *traceState
@@ -219,15 +222,14 @@ type Runtime struct {
 	// node 0's mesh: the in-process hub's (meshes holds all of them, node
 	// 0 first, owned and closed by Shutdown) or, in cluster mode,
 	// Config.Cluster (cluster; owned by the caller). pending is the
-	// in-flight broadcast's reassembly and strays counts deliveries that
-	// matched none, both guarded by deliverMu (mesh Deliver callbacks run
-	// on fabric goroutines).
+	// in-flight broadcast's reassembly, guarded by deliverMu (mesh Deliver
+	// callbacks run on fabric goroutines); deliveries matching none count
+	// in rt_stray_deliveries_total.
 	xp        *wire.Mesh
 	meshes    []*wire.Mesh
 	cluster   *wire.Mesh
 	deliverMu sync.Mutex
 	pending   *reassembly
-	strays    int64
 
 	// stop cancels in-flight retry backoff waits on Shutdown.
 	stop     chan struct{}
@@ -273,7 +275,9 @@ type taskEntry struct {
 	fn   TaskFn
 }
 
-// New creates a runtime. Invalid configurations are rejected.
+// New creates a runtime. Invalid configurations are rejected. The runtime
+// starts Nodes × ProcsPerNode worker goroutines; call Shutdown to stop
+// them once the runtime is no longer needed.
 func New(cfg Config) (*Runtime, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("rt: config requires Nodes >= 1, got %d", cfg.Nodes)
@@ -318,7 +322,6 @@ func New(cfg Config) (*Runtime, error) {
 		byName:     map[string]core.TaskID{},
 		traceStore: map[uint64]*traceTemplate{},
 		vm:         newVersionMap(mx.VersionQueries, mx.DepEdges),
-		slots:      make([]chan struct{}, cfg.Nodes),
 		dead:       make([]bool, cfg.Nodes),
 		stop:       make(chan struct{}),
 		reg:        reg,
@@ -356,9 +359,7 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Profile != nil {
 		r.profIDs = map[*Event]int64{}
 	}
-	for i := range r.slots {
-		r.slots[i] = make(chan struct{}, cfg.ProcsPerNode)
-	}
+	r.startWorkers()
 	return r, nil
 }
 
@@ -476,13 +477,20 @@ var ErrBusy = errors.New("rt: tasks still outstanding")
 // per-session state (sequence numbers, dedup sets) so a runtime reused
 // across many scheduler jobs does not accumulate per-job state forever.
 // The runtime must be idle — fence first; Recycle fails with ErrBusy when
-// any issued task has not completed.
+// any issued task has not completed or any attempt is still queued for a
+// worker (a discarded speculative backup can outlive its task's
+// completion).
 func (r *Runtime) Recycle() error {
 	r.issueMu.Lock()
 	defer r.issueMu.Unlock()
 	for _, pt := range r.outstanding {
 		if !pt.ev.Done() {
 			return fmt.Errorf("%w: task %q launch %q point %v", ErrBusy, pt.name, pt.tag, pt.point)
+		}
+	}
+	for n, q := range r.queues {
+		if k := q.len(); k > 0 {
+			return fmt.Errorf("%w: %d attempt(s) queued on node %d", ErrBusy, k, n)
 		}
 	}
 	r.outstanding = r.outstanding[:0]
@@ -577,13 +585,26 @@ var ErrShutdown = errors.New("rt: runtime shut down")
 // for the rest of the ladder. It also closes the in-process transport
 // (a Config.Cluster mesh belongs to the caller): later centralized
 // launches with remote slices fail. Tasks already executing run to
-// completion; heartbeat rounds (and thus quarantine/rejoin transitions)
-// stop at the next issuance boundary. Idempotent and safe to race with an
-// in-flight rejoin.
+// completion, after which their workers exit. Point tasks that have not
+// started — queued for a worker, still waiting on dependences when
+// Shutdown is called, or issued after it — never run: each fails with a
+// TaskError wrapping ErrShutdown, queued ones at once and waiting ones when
+// their last dependence triggers, and the failure propagates to their
+// dependents.
+// Heartbeat rounds (and thus quarantine/rejoin transitions) stop at the
+// next issuance boundary. Idempotent and safe to race with an in-flight
+// rejoin.
 func (r *Runtime) Shutdown() {
 	r.stopOnce.Do(func() {
 		close(r.stop)
 		r.closeMeshes()
+		for _, q := range r.queues {
+			left := q.close()
+			r.mx.ReadyTasks.Add(-int64(len(left)))
+			for _, it := range left {
+				r.dropReady(it)
+			}
+		}
 	})
 }
 
@@ -663,12 +684,20 @@ func (r *Runtime) ExecuteIndex(l *core.IndexLaunch) (*FutureMap, error) {
 		distNS = r.nowNS() - tDist
 	}
 
-	fm := newFutureMap()
+	// One allocation each for the launch's futures, events, task runs and
+	// region views (see newFutureMap); the task runs and region views live
+	// only as long as the launch's tasks run.
+	n := int(l.Domain.Volume())
+	k := len(l.Requirements)
+	fm := newFutureMap(n)
+	runs := make([]taskRun, n)
+	prSlab := make([]PhysicalRegion, n*k)
+	i := 0
 	err = l.Each(func(pt core.PointTask) bool {
-		prs := make([]PhysicalRegion, len(pt.Regions))
-		for i, reg := range pt.Regions {
-			req := l.Requirements[i]
-			prs[i] = PhysicalRegion{Region: reg, Priv: req.Priv, RedOp: req.RedOp, Fields: req.Fields}
+		prs := prSlab[i*k : (i+1)*k : (i+1)*k]
+		for j, reg := range pt.Regions {
+			req := l.Requirements[j]
+			prs[j] = PhysicalRegion{Region: reg, Priv: req.Priv, RedOp: req.RedOp, Fields: req.Fields}
 		}
 		var tShard int64
 		if timed {
@@ -678,15 +707,17 @@ func (r *Runtime) ExecuteIndex(l *core.IndexLaunch) (*FutureMap, error) {
 		if timed {
 			distNS += r.nowNS() - tShard
 		}
-		fut := r.issuePoint(l.Task, l.Tag, pt.Point, node, prs, l.ArgsAt(pt.Point), ltc)
-		fm.add(pt.Point, fut)
+		pf := &fm.pts[i]
+		pf.p = pt.Point
+		r.issuePoint(&runs[i], &pf.f, l.Task, l.Tag, pt.Point, node, prs, l.ArgsAt(pt.Point), ltc)
+		i++
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
 	fm.seal()
-	r.finishLaunch(len(fm.futures), name, l.Tag, ltc, tLaunch, logicalNS, tDist, distNS)
+	r.finishLaunch(n, name, l.Tag, ltc, tLaunch, logicalNS, tDist, distNS)
 	return fm, nil
 }
 
@@ -761,7 +792,8 @@ func (r *Runtime) ExecuteSingle(tag string, task core.TaskID, reqs []SingleReq, 
 	if timed {
 		distNS = r.nowNS() - tDist
 	}
-	fut := r.issuePoint(task, tag, p, node, prs, args, ltc)
+	fut := newFuture()
+	r.issuePoint(&taskRun{}, fut, task, tag, p, node, prs, args, ltc)
 	r.finishLaunch(1, name, tag, ltc, tLaunch, 0, tDist, distNS)
 	return fut, nil
 }
@@ -801,12 +833,12 @@ func clampNode(n, nodes int) int {
 	return n
 }
 
-// issuePoint performs per-point dependence analysis (or trace replay) and
-// hands the task to the executor. Caller holds issueMu.
-func (r *Runtime) issuePoint(task core.TaskID, tag string, p domain.Point, node int,
-	prs []PhysicalRegion, args []byte, ltc obs.TraceRef) *Future {
+// issuePoint performs per-point dependence analysis (or trace replay) into
+// tr, whose completion future is fut, and hands the task to its node's
+// workers once its preconditions have triggered. Caller holds issueMu.
+func (r *Runtime) issuePoint(tr *taskRun, fut *Future, task core.TaskID, tag string, p domain.Point, node int,
+	prs []PhysicalRegion, args []byte, ltc obs.TraceRef) {
 
-	fut := newFuture()
 	ev := fut.ev
 	prof := r.cfg.Profile
 	timed := prof != nil || r.mxOn
@@ -823,19 +855,14 @@ func (r *Runtime) issuePoint(task core.TaskID, tag string, p domain.Point, node 
 		if timed {
 			tPhys = r.nowNS()
 		}
-		depSet := map[*Event]struct{}{}
+		r.deps.reset(ev)
 		for _, pr := range prs {
 			ivs := pr.Region.Intervals()
 			for _, f := range pr.Fields {
-				for _, d := range r.vm.access(pr.Region.Tree.ID, f, ivs, pr.Priv, pr.RedOp, ev) {
-					depSet[d] = struct{}{}
-				}
+				r.vm.collect(pr.Region.Tree.ID, f, ivs, pr.Priv, pr.RedOp, ev, &r.deps)
 			}
 		}
-		deps = make([]*Event, 0, len(depSet))
-		for d := range depSet {
-			deps = append(deps, d)
-		}
+		deps = r.deps.evs
 		if r.capturing() {
 			r.trace.recordOp(task, p, ev, deps, prs)
 		}
@@ -868,38 +895,14 @@ func (r *Runtime) issuePoint(task core.TaskID, tag string, p domain.Point, node 
 	r.outstanding = append(r.outstanding, pendingTask{ev: ev, name: name, tag: tag, point: p})
 	r.pruneOutstanding()
 
-	tr := &taskRun{
-		fn: r.tasks[task].fn, task: task, name: name, tag: tag, point: p,
+	*tr = taskRun{
+		rt: r, fn: r.tasks[task].fn, task: task, name: name, tag: tag, point: p, node: node,
 		args: args, prs: prs, fut: fut, spanID: spanID, timed: timed, tc: ptc,
 	}
-	skipOnFailure := r.cfg.OnUpstreamFailure == SkipDependents
 	r.mx.InflightTasks.Add(1)
-	go func() {
-		if cause := WaitAllErr(deps); cause != nil && skipOnFailure {
-			// A precondition is poisoned: skip the body and cascade the
-			// failure downstream through this task's own event.
-			r.mx.TasksSkipped.Inc()
-			if prof != nil {
-				prof.MarkTC(ptc.Child(tcFaultSkip), node, obs.StageFault, name, tag, p, prof.Now())
-			}
-			r.mx.InflightTasks.Add(-1)
-			fut.complete(nil, &TaskError{
-				Task: name, Tag: tag, Point: p, Node: node,
-				Err: fmt.Errorf("%w: %w", ErrUpstreamFailed, cause),
-			})
-			return
-		}
-		if r.specOn {
-			// Arm the straggler watchdog only once the task is runnable:
-			// dependence waits are ordering, not straggling.
-			tr.spec = &specState{cancel: make(chan struct{})}
-			r.armSpeculation(tr, node)
-		}
-		if !r.runAttempt(tr, node, false) {
-			r.mx.InflightTasks.Add(-1) // a committed attempt dropped it
-		}
-	}()
-	return fut
+	if tr.arm(deps, tr) {
+		r.ready(tr)
+	}
 }
 
 // profIDCap bounds the event → span-ID map; beyond it, entries for

@@ -74,16 +74,22 @@ type specState struct {
 }
 
 // taskRun bundles everything an execution attempt needs, so the original
-// and the backup attempt run the same code path.
+// and the backup attempt run the same code path. Its embedded join counts
+// the point's preconditions down; an index launch allocates the taskRuns
+// of all its points as one slab.
 type taskRun struct {
+	join
+	rt     *Runtime
 	fn     TaskFn
 	task   core.TaskID
 	name   string
 	tag    string
 	point  domain.Point
+	node   int // the node the point was issued to
 	args   []byte
 	prs    []PhysicalRegion
 	fut    *Future
+	cause  error      // joined poison errors of the preconditions, set once ready
 	spec   *specState // nil when speculation is off for this task
 	spanID int64
 	timed  bool
@@ -140,8 +146,8 @@ func (r *Runtime) pickBackupNode(orig int) (int, bool) {
 }
 
 // armSpeculation starts the straggler watchdog for tr's original attempt
-// on node orig. If the task is still running once the threshold elapses, a
-// backup attempt launches on another healthy node.
+// on node orig. If the task is still unfinished once the threshold
+// elapses, a backup attempt is queued on another healthy node.
 func (r *Runtime) armSpeculation(tr *taskRun, orig int) {
 	d := r.specDelay()
 	if d <= 0 {
@@ -151,7 +157,7 @@ func (r *Runtime) armSpeculation(tr *taskRun, orig int) {
 		timer := time.NewTimer(d)
 		defer timer.Stop()
 		select {
-		case <-tr.fut.ev.ch:
+		case <-tr.fut.ev.doneCh():
 			return
 		case <-r.stop:
 			return
@@ -169,9 +175,7 @@ func (r *Runtime) armSpeculation(tr *taskRun, orig int) {
 			prof.MarkTC(tr.tc.Child(tcSpecBackup), backup, obs.StageSpeculate, tr.name, tr.tag, tr.point, prof.Now())
 		}
 		r.mx.InflightTasks.Add(1)
-		if !r.runAttempt(tr, backup, true) {
-			r.mx.InflightTasks.Add(-1) // a committed attempt dropped it
-		}
+		r.enqueue(readyItem{tr: tr, backup: true}, backup)
 	}()
 }
 
@@ -184,22 +188,19 @@ func (r *Runtime) specLost(tr *taskRun, node int) {
 	}
 }
 
-// runAttempt executes one attempt (original or backup) of tr on node: slot
-// acquisition, the retry ladder, and the commit race. Exactly one attempt
+// runAttempt executes one attempt (original or backup) of tr on one of
+// node's workers: the retry ladder and the commit race. Exactly one attempt
 // per task reaches commitAttempt's critical section; it reports true, and
 // has then dropped its attempt's busy and in-flight counts already.
 func (r *Runtime) runAttempt(tr *taskRun, node int, backup bool) (won bool) {
-	slot := r.slots[node]
-	slot <- struct{}{}
 	r.mx.BusyProcs.Add(1)
 	defer func() {
 		if !won {
 			r.mx.BusyProcs.Add(-1)
 		}
-		<-slot
 	}()
 	if tr.lost() {
-		// The other attempt finished while this one queued for a slot.
+		// The other attempt finished while this one queued for a worker.
 		r.specLost(tr, node)
 		return false
 	}
@@ -295,8 +296,7 @@ func (r *Runtime) commitAttempt(tr *taskRun, ctx *Context, node int, backup bool
 		}
 	}
 	// Drop the attempt's gauges before completing, so a fence that returns
-	// never sees the tasks it waited on still counted busy or in flight;
-	// the slot itself is freed when runAttempt returns.
+	// never sees the tasks it waited on still counted busy or in flight.
 	r.mx.BusyProcs.Add(-1)
 	r.mx.InflightTasks.Add(-1)
 	tr.fut.complete(val, err)

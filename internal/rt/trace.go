@@ -160,8 +160,9 @@ func (r *Runtime) EndTrace(id uint64) error {
 		for key, ivs := range ts.tmpl.writes {
 			r.vm.bulkWrite(key.tree, key.field, ivs, terminal)
 		}
+		r.deps.reset(terminal)
 		for key, ivs := range ts.tmpl.reads {
-			r.vm.access(key.tree, key.field, ivs, privilege.Read, privilege.OpNone, terminal)
+			r.vm.collect(key.tree, key.field, ivs, privilege.Read, privilege.OpNone, terminal, &r.deps)
 		}
 		r.outstanding = append(r.outstanding, pendingTask{ev: terminal, name: label + "-replay", tag: "trace"})
 		r.mx.TraceReplays.Inc()

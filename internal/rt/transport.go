@@ -79,8 +79,9 @@ type reassembly struct {
 // mesh: it decodes the shipment and fills its slot of the in-flight
 // launch's reassembly. Anything else — a delivery with no broadcast in
 // flight, into a slot already filled or out of range — is a stray, which
-// the transport's exactly-once contract rules out; strays are counted so
-// tests can assert it. Resync announcements need no action in process.
+// the transport's exactly-once contract rules out; strays are counted in
+// rt_stray_deliveries_total, so a violation shows on /metrics. Resync
+// announcements need no action in process.
 func (r *Runtime) deliverSlice(node int, tag string, payload []byte) {
 	msg, err := DecodeClusterPayload(payload)
 	if err == nil && msg.Kind == "resync" {
@@ -90,7 +91,7 @@ func (r *Runtime) deliverSlice(node int, tag string, payload []byte) {
 	defer r.deliverMu.Unlock()
 	ra := r.pending
 	if err != nil || ra == nil || msg.Index < 0 || msg.Index >= len(ra.out) || ra.filled[msg.Index] {
-		r.strays++
+		r.mx.StrayDeliveries.Inc()
 		return
 	}
 	ra.out[msg.Index] = msg.Slice

@@ -49,15 +49,20 @@ func newVersionMap(queries, deps *metrics.Counter) *versionMap {
 	return &versionMap{fields: map[fieldKey]*fieldState{}, queries: queries, deps: deps}
 }
 
-// access registers an access to the given intervals with privilege priv and
-// completion event ev, returning the precondition events the access must
-// wait for. Intervals must be sorted and disjoint (as produced by
-// region.IntervalsOf).
-func (vm *versionMap) access(tree region.TreeID, field region.FieldID,
-	ivs []region.Interval, priv privilege.Privilege, redOp privilege.OpID, ev *Event) []*Event {
+// collect registers an access to the given intervals with privilege priv
+// and completion event ev, adding the precondition events the access must
+// wait for to buf (the caller's dedup buffer, see depBuf). Intervals must
+// be sorted and disjoint (as produced by region.IntervalsOf).
+//
+// Already-done events stay in the dependence set: waiting on a triggered
+// event is free, and filtering them would make the edge set depend on
+// execution timing — dropping launch-ordering edges from trace capture and
+// hiding upstream poison from dependents issued after the failure.
+func (vm *versionMap) collect(tree region.TreeID, field region.FieldID,
+	ivs []region.Interval, priv privilege.Privilege, redOp privilege.OpID, ev *Event, buf *depBuf) {
 
 	if priv == privilege.None || len(ivs) == 0 {
-		return nil
+		return
 	}
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
@@ -69,30 +74,99 @@ func (vm *versionMap) access(tree region.TreeID, field region.FieldID,
 		fs = &fieldState{}
 		vm.fields[key] = fs
 	}
-
-	depSet := map[*Event]struct{}{}
+	buf.beginQuery()
 	for _, iv := range ivs {
-		fs.accessInterval(iv.Lo, iv.Hi, priv, redOp, ev, depSet)
+		fs.accessInterval(iv.Lo, iv.Hi, priv, redOp, ev, buf)
 	}
-	// Already-done events stay in the dependence set: waiting on a closed
-	// event is free, and filtering them would make the edge set depend on
-	// execution timing — dropping launch-ordering edges from trace capture
-	// and hiding upstream poison from dependents issued after the failure.
-	deps := make([]*Event, 0, len(depSet))
-	for d := range depSet {
-		if d != ev {
-			deps = append(deps, d)
+	vm.deps.Add(int64(buf.queryEdges))
+}
+
+// depBufLinear is the dependence-set size up to which depBuf deduplicates
+// by linear scan; beyond it a map index takes over, so a write after
+// thousands of readers stays linear in their number.
+const depBufLinear = 32
+
+// depBuf accumulates the deduplicated dependence set of one point task
+// across all its version-map queries. The issuing goroutine owns one and
+// reuses it point after point, so collecting dependences allocates nothing
+// in the steady state. Each query also counts its own distinct edges
+// (queryEdges): the version map's edge counter keeps its per-query meaning
+// even though the set is shared by the point's queries.
+type depBuf struct {
+	self  *Event   // the point's own completion event, never a dependence
+	evs   []*Event // the set, in first-seen order
+	query []uint32 // per entry, the last query that reported it
+	index map[*Event]int
+	q     uint32
+	// queryEdges counts the distinct edges of the current query.
+	queryEdges int
+}
+
+// reset empties the buffer for the next point, whose event is self.
+func (b *depBuf) reset(self *Event) {
+	clear(b.evs) // drop references so finished events can be collected
+	b.evs = b.evs[:0]
+	b.query = b.query[:0]
+	if len(b.index) > 0 {
+		clear(b.index)
+	}
+	b.self = self
+}
+
+// beginQuery starts counting a new query's distinct edges.
+func (b *depBuf) beginQuery() {
+	b.q++
+	b.queryEdges = 0
+}
+
+// add records dependence e for the current query; a nil buffer discards
+// it.
+func (b *depBuf) add(e *Event) {
+	if b == nil || e == nil || e == b.self {
+		return
+	}
+	i := -1
+	if len(b.evs) > depBufLinear {
+		if j, ok := b.index[e]; ok {
+			i = j
+		}
+	} else {
+		for j, x := range b.evs {
+			if x == e {
+				i = j
+				break
+			}
 		}
 	}
-	vm.deps.Add(int64(len(deps)))
-	return deps
+	switch {
+	case i < 0:
+		b.evs = append(b.evs, e)
+		b.query = append(b.query, b.q)
+		if n := len(b.evs); n > depBufLinear {
+			if b.index == nil {
+				b.index = map[*Event]int{}
+			}
+			if n == depBufLinear+1 {
+				for j, x := range b.evs {
+					b.index[x] = j
+				}
+			} else {
+				b.index[e] = n - 1
+			}
+		}
+	case b.query[i] == b.q:
+		return // already counted by this query
+	default:
+		b.query[i] = b.q
+	}
+	b.queryEdges++
 }
 
 // accessInterval walks the segments overlapping [lo, hi], splitting at the
 // boundaries, applies the access to each covered piece, and creates fresh
 // segments for uncovered gaps.
 func (fs *fieldState) accessInterval(lo, hi int64, priv privilege.Privilege,
-	redOp privilege.OpID, ev *Event, deps map[*Event]struct{}) {
+	redOp privilege.OpID, ev *Event, deps *depBuf) {
 
 	i := sort.Search(len(fs.segs), func(i int) bool { return fs.segs[i].hi >= lo })
 	cur := lo
@@ -153,22 +227,19 @@ func freshSegment(lo, hi int64, priv privilege.Privilege, redOp privilege.OpID, 
 }
 
 // apply updates the segment's epoch state for an access and records the
-// dependence edges in deps (which may be nil for fresh segments).
-func (s *segment) apply(priv privilege.Privilege, redOp privilege.OpID, ev *Event, deps map[*Event]struct{}) {
-	addDep := func(e *Event) {
-		if deps != nil && e != nil {
-			deps[e] = struct{}{}
-		}
-	}
+// dependence edges in deps (which may be nil for fresh segments). A write
+// closes the epoch and reuses the readers and reducers backing arrays for
+// the next one; cloneEpoch keeps split segments from sharing them.
+func (s *segment) apply(priv privilege.Privilege, redOp privilege.OpID, ev *Event, deps *depBuf) {
 	switch {
 	case priv == privilege.Read:
 		// Read-after-write and read-after-reduce.
 		if len(s.reducers) > 0 {
 			for _, r := range s.reducers {
-				addDep(r)
+				deps.add(r)
 			}
 		} else {
-			addDep(s.writer)
+			deps.add(s.writer)
 		}
 		s.readers = append(s.readers, ev)
 
@@ -179,36 +250,43 @@ func (s *segment) apply(priv privilege.Privilege, redOp privilege.OpID, ev *Even
 		// pending reducers (they commute), so dropping the readers here would
 		// leave it unordered against a read it must follow. Only a write
 		// closes the epoch and clears them.
-		addDep(s.writer)
+		deps.add(s.writer)
 		for _, r := range s.readers {
-			addDep(r)
+			deps.add(r)
 		}
 		if len(s.reducers) > 0 && s.redOp != redOp {
 			for _, r := range s.reducers {
-				addDep(r)
+				deps.add(r)
 			}
 			// The displaced reducers keep ordering obligations against
 			// later reducers of the new operator; track them as readers so
 			// those edges (and a closing write's) still materialize.
 			s.readers = append(s.readers, s.reducers...)
-			s.reducers = s.reducers[:0]
+			s.reducers = emptied(s.reducers)
 		}
 		s.redOp = redOp
 		s.reducers = append(s.reducers, ev)
 
 	default: // Write, ReadWrite
-		addDep(s.writer)
+		deps.add(s.writer)
 		for _, r := range s.readers {
-			addDep(r)
+			deps.add(r)
 		}
 		for _, r := range s.reducers {
-			addDep(r)
+			deps.add(r)
 		}
 		s.writer = ev
-		s.readers = nil
-		s.reducers = nil
+		s.readers = emptied(s.readers)
+		s.reducers = emptied(s.reducers)
 		s.redOp = privilege.OpNone
 	}
+}
+
+// emptied truncates an epoch list for reuse, clearing its entries so the
+// closed epoch's events can be collected.
+func emptied(evs []*Event) []*Event {
+	clear(evs)
+	return evs[:0]
 }
 
 func (fs *fieldState) insertSegment(i int, s segment) {

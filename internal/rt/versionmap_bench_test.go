@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"runtime"
 	"testing"
 
 	"indexlaunch/internal/privilege"
@@ -98,7 +99,9 @@ func benchName(p int) string {
 // BenchmarkIndexLaunchIssuance measures end-to-end issuance+analysis of an
 // index launch versus the equivalent loop of single launches through the
 // real runtime (tasks are no-ops), showing the per-task issuance overhead
-// the paper's "No IDX" configurations pay.
+// the paper's "No IDX" configurations pay. It reports ns/point (issuance
+// time) and allocs/point (issuance plus executing the issued tasks, so the
+// count includes the fence after the timed loop).
 func BenchmarkIndexLaunchIssuance(b *testing.B) {
 	for _, idx := range []bool{true, false} {
 		name := "indexlaunch"
@@ -107,8 +110,12 @@ func BenchmarkIndexLaunchIssuance(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			r := MustNew(Config{Nodes: 4, ProcsPerNode: 2, DCR: true, IndexLaunches: idx})
+			defer r.Shutdown()
 			task := r.MustRegisterTask("noop", func(*Context) ([]byte, error) { return nil, nil })
 			launch := benchLaunch(b, r, task)
+			b.ReportAllocs()
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.ExecuteIndex(launch); err != nil {
@@ -117,6 +124,10 @@ func BenchmarkIndexLaunchIssuance(b *testing.B) {
 			}
 			b.StopTimer()
 			r.Fence()
+			runtime.ReadMemStats(&ms1)
+			points := float64(b.N) * float64(launch.Parallelism())
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/points, "ns/point")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/points, "allocs/point")
 		})
 	}
 }

@@ -5,9 +5,21 @@ import (
 	"math/rand"
 	"testing"
 
+	"indexlaunch/internal/metrics"
 	"indexlaunch/internal/privilege"
 	"indexlaunch/internal/region"
 )
+
+// access is one query with a buffer of its own: the query's dependence
+// set, as a fresh slice.
+func (vm *versionMap) access(tree region.TreeID, field region.FieldID,
+	ivs []region.Interval, priv privilege.Privilege, redOp privilege.OpID, ev *Event) []*Event {
+
+	var b depBuf
+	b.reset(ev)
+	vm.collect(tree, field, ivs, priv, redOp, ev, &b)
+	return b.evs
+}
 
 func ivs(pairs ...int64) []region.Interval {
 	out := make([]region.Interval, 0, len(pairs)/2)
@@ -371,5 +383,127 @@ func TestVersionMapMultiIntervalAccess(t *testing.T) {
 	deps := vm.access(1, 0, ivs(5, 6, 25, 26), privilege.Read, privilege.OpNone, r)
 	if !containsEvent(deps, w1) || !containsEvent(deps, w2) {
 		t.Error("multi-interval read must collect deps from every interval")
+	}
+}
+
+// TestDepBufMatchesMapReference drives the reused dependence buffer with
+// random add streams — repeats, nil, the point's own event, and sets large
+// enough to cross into the map index — and checks it against a map-based
+// reference: the same set in first-seen order without duplicates, and the
+// same distinct-edge count per query.
+func TestDepBufMatchesMapReference(t *testing.T) {
+	pool := make([]*Event, 2500)
+	for i := range pool {
+		pool[i] = NewEvent()
+	}
+	var b depBuf
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		self := pool[rng.Intn(len(pool))]
+		b.reset(self)
+		var order []*Event
+		seen := map[*Event]bool{}
+		width := []int{4, depBufLinear, depBufLinear + 2, len(pool)}[seed%4]
+		for q := rng.Intn(5) + 1; q > 0; q-- {
+			b.beginQuery()
+			inQuery := map[*Event]bool{}
+			for k := rng.Intn(3 * width); k > 0; k-- {
+				var e *Event
+				if rng.Intn(20) > 0 {
+					e = pool[rng.Intn(width)]
+				}
+				b.add(e)
+				if e == nil || e == self {
+					continue
+				}
+				inQuery[e] = true
+				if !seen[e] {
+					seen[e] = true
+					order = append(order, e)
+				}
+			}
+			if b.queryEdges != len(inQuery) {
+				t.Fatalf("seed %d: query counted %d edges, reference %d", seed, b.queryEdges, len(inQuery))
+			}
+		}
+		if len(b.evs) != len(order) {
+			t.Fatalf("seed %d: buffer holds %d events, reference %d", seed, len(b.evs), len(order))
+		}
+		for i := range order {
+			if b.evs[i] != order[i] {
+				t.Fatalf("seed %d: entry %d differs from the reference's first-seen order", seed, i)
+			}
+		}
+	}
+}
+
+// TestVersionMapSharedBufferMatchesPerQuerySets replays random multi-query
+// points on two identical version maps: one collecting each point's
+// queries into a single reused buffer (the issue path), the other taking
+// each query's set separately and unioning them in a map (the reference).
+// The sets and the dependence-edge counters must agree, including for a
+// write that closes an epoch of 2,000 readers.
+func TestVersionMapSharedBufferMatchesPerQuerySets(t *testing.T) {
+	type query struct {
+		field  region.FieldID
+		lo, hi int64
+		priv   privilege.Privilege
+		redOp  privilege.OpID
+	}
+	privs := []privilege.Privilege{privilege.Read, privilege.Write, privilege.ReadWrite, privilege.Reduce}
+	redOps := []privilege.OpID{privilege.OpSumF64, privilege.OpProdF64}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var points [][]query
+		if seed == 0 {
+			for i := 0; i < 2000; i++ {
+				points = append(points, []query{{lo: 0, hi: 63, priv: privilege.Read}})
+			}
+			points = append(points, []query{
+				{lo: 0, hi: 31, priv: privilege.ReadWrite},
+				{lo: 16, hi: 63, priv: privilege.Write},
+			})
+		}
+		for i := 0; i < 300; i++ {
+			qs := make([]query, rng.Intn(4)+1)
+			for j := range qs {
+				lo := rng.Int63n(64)
+				qs[j] = query{field: region.FieldID(rng.Intn(2)), lo: lo, hi: lo + rng.Int63n(64-lo), priv: privs[rng.Intn(len(privs))]}
+				if qs[j].priv == privilege.Reduce {
+					qs[j].redOp = redOps[rng.Intn(len(redOps))]
+				}
+			}
+			points = append(points, qs)
+		}
+
+		reg := metrics.NewRegistry()
+		shared := newVersionMap(reg.Counter("q_shared", ""), reg.Counter("d_shared", ""))
+		ref := newVersionMap(reg.Counter("q_ref", ""), reg.Counter("d_ref", ""))
+		var b depBuf
+		for i, qs := range points {
+			ev := NewEvent()
+			b.reset(ev)
+			want := map[*Event]bool{}
+			for _, q := range qs {
+				shared.collect(1, q.field, ivs(q.lo, q.hi), q.priv, q.redOp, ev, &b)
+				for _, d := range ref.access(1, q.field, ivs(q.lo, q.hi), q.priv, q.redOp, ev) {
+					want[d] = true
+				}
+			}
+			if len(b.evs) != len(want) {
+				t.Fatalf("seed %d point %d: shared buffer has %d deps, reference %d", seed, i, len(b.evs), len(want))
+			}
+			for _, d := range b.evs {
+				if !want[d] {
+					t.Fatalf("seed %d point %d: shared buffer has a dependence the reference lacks", seed, i)
+				}
+			}
+		}
+		if got, want := shared.deps.Value(), ref.deps.Value(); got != want {
+			t.Fatalf("seed %d: shared path counted %d edges, reference %d", seed, got, want)
+		}
+		if got, want := shared.queries.Value(), ref.queries.Value(); got != want {
+			t.Fatalf("seed %d: shared path counted %d queries, reference %d", seed, got, want)
+		}
 	}
 }
